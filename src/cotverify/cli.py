@@ -226,12 +226,28 @@ def _make_learner(name: str, vc, args):
 def _load_sequence(path: str, mode: str):
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, list):
+        raise CotVerifyError("sequence file must hold a JSON list")
     cls = CotInstance if mode == "cot" else PrefixInstance
-    return [cls(int(p), tuple(int(s) for s in steps)) for p, steps in doc]
+    out = []
+    for entry in doc:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and type(entry[0]) is int and isinstance(entry[1], list)
+                and all(type(s) is int for s in entry[1])):
+            raise CotVerifyError(
+                f"sequence entry must be [problem, [steps...]] of integers, "
+                f"got {json.dumps(entry)}"
+            )
+        out.append(cls(entry[0], tuple(entry[1])))
+    return out
 
 
 def cmd_run(args) -> int:
     vc = families.load_class(args.class_file)
+    if not 0 <= args.target < len(vc):
+        raise CotVerifyError(
+            f"--target must be in 0..{len(vc) - 1}, got {args.target}"
+        )
     learner = _make_learner(args.learner, vc, args)
     if args.via_prefix:
         learner = reductions.cot_from_prefix(learner)
@@ -463,6 +479,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CotVerifyError, OSError, json.JSONDecodeError, KeyError,
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except RecursionError:
+        print("error: search too deep: the game tree exceeds Python's "
+              f"recursion limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -38,6 +38,7 @@ from .core import (
     VerifierClass,
     VersionSpace,
     cot_instances,
+    fault_at,
     is_fault,
 )
 
@@ -74,37 +75,29 @@ class DimResult:
     stats: dict
 
 
-# Per-class engine cache so repeated queries (and online learners that
-# consult dimension values every round) share one memo table.
-_engine_caches: "weakref.WeakKeyDictionary[VerifierClass, dict]" = (
+# Per-class cache of engines (and SCL label partitions) so repeated
+# queries, and online learners that consult dimension values every round,
+# share one memo table.
+_class_caches: "weakref.WeakKeyDictionary[VerifierClass, dict]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _cache(vclass: VerifierClass) -> dict:
-    d = _engine_caches.get(vclass)
-    if d is None:
-        d = {}
-        _engine_caches[vclass] = d
-    return d
+def _cached(vclass: VerifierClass, key, make):
+    """The class's object under key, made by make() on first use."""
+    cache = _class_caches.setdefault(vclass, {})
+    obj = cache.get(key)
+    if obj is None:
+        obj = cache[key] = make()
+    return obj
 
 
 def _ldim_engine(vclass: VerifierClass):
-    cache = _cache(vclass)
-    eng = cache.get("ldim")
-    if eng is None:
-        eng = kernels.ldim_engine(vclass.yes_masks, len(vclass))
-        cache["ldim"] = eng
-    return eng
+    return _cached(vclass, "ldim", lambda: kernels.ldim_engine(vclass.yes_masks))
 
 
 def _sc_engine(vclass: VerifierClass):
-    cache = _cache(vclass)
-    eng = cache.get("sc")
-    if eng is None:
-        eng = kernels.sc_engine(vclass.yes_masks, len(vclass))
-        cache["sc"] = eng
-    return eng
+    return _cached(vclass, "sc", lambda: kernels.sc_engine(vclass.yes_masks))
 
 
 def _scale_two(a: Fraction, b: Fraction) -> tuple[int, int, int]:
@@ -118,13 +111,8 @@ def _scale_three(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, 
 
 
 def _wsc_engine(vclass: VerifierClass, ws: int, wc: int):
-    cache = _cache(vclass)
-    key = ("wsc", ws, wc)
-    eng = cache.get(key)
-    if eng is None:
-        eng = kernels.wsc_engine(vclass.yes_masks, len(vclass), ws, wc)
-        cache[key] = eng
-    return eng
+    return _cached(vclass, ("wsc", ws, wc),
+                   lambda: kernels.wsc_engine(vclass.yes_masks, ws, wc))
 
 
 def _label_code(label: Label) -> int:
@@ -136,35 +124,43 @@ def _code_label(code: int) -> Label:
 
 
 def _scl_label_masks(vclass: VerifierClass) -> list[list[tuple[int, int]]]:
-    """Per full trace, the partition of verifier ids by derived label."""
-    out = []
-    for z in cot_instances(vclass):
-        groups: dict[int, int] = {}
-        for i in range(len(vclass)):
-            code = _label_code(vclass.cot_label_of(i, z))
-            groups[code] = groups.get(code, 0) | (1 << i)
-        out.append(sorted(groups.items()))
-    return out
+    """Per full trace (in cot_instances order), the partition of verifier
+    ids by derived label, as sorted (label code, mask) pairs."""
+
+    def build():
+        # A verifier's label on z is the first prefix it rejects: peel the
+        # rejecters of each prefix off the verifiers that accepted so far.
+        out = []
+        for z in cot_instances(vclass):
+            groups: dict[int, int] = {}
+            accepted = vclass.full_mask()
+            for ell, prefix in enumerate(z.prefixes(), start=1):
+                yes = vclass.yes_masks[vclass.index_of(prefix)]
+                if accepted & ~yes:
+                    groups[_label_code(fault_at(ell))] = accepted & ~yes
+                accepted &= yes
+            if accepted:
+                groups[_label_code(ALL_CORRECT)] = accepted
+            out.append(sorted(groups.items()))
+        return out
+
+    return _cached(vclass, "scl_labels", build)
 
 
 def _scl_engine(vclass: VerifierClass, ws: int, wc: int, wl: int):
-    cache = _cache(vclass)
-    key = ("scl", ws, wc, wl)
-    eng = cache.get(key)
-    if eng is None:
-        eng = kernels.scl_engine(
-            _scl_label_masks(vclass), len(vclass), ws, wc, wl
-        )
-        cache[key] = eng
-    return eng
+    return _cached(vclass, ("scl", ws, wc, wl),
+                   lambda: kernels.scl_engine(_scl_label_masks(vclass), ws, wc, wl))
 
 
-def _stats(engine) -> dict:
+def _query(engine, solve) -> tuple:
+    """solve()'s value and the engine work it alone did."""
+    nodes0, hits0 = engine.stats()
+    value = solve()
     nodes, hits = engine.stats()
-    return {
-        "nodes_expanded": nodes,
-        "memo_hits": hits,
-        "backend": type(engine).__module__.rsplit(".", 1)[-1].lstrip("_"),
+    return value, {
+        "nodes_expanded": nodes - nodes0,
+        "memo_hits": hits - hits0,
+        "backend": kernels.BACKEND,
     }
 
 
@@ -195,30 +191,35 @@ def scl_value(vs: VersionSpace, costs: CostVector) -> Fraction:
     return Fraction(raw, scale)
 
 
+# DimResult.stats counts the value search of this query only: not earlier
+# queries on the same class, and not the witness extraction.
+
 def ldim(vs: VersionSpace, witness: bool = True) -> DimResult:
-    value = ldim_value(vs)
+    value, stats = _query(_ldim_engine(vs.vclass), lambda: ldim_value(vs))
     tree = _extract_plain(vs) if witness and value > 0 else None
-    return DimResult(value, tree, _stats(_ldim_engine(vs.vclass)))
+    return DimResult(value, tree, stats)
 
 
 def sc_ldim(vs: VersionSpace, k: int, witness: bool = True) -> DimResult:
-    value = sc_value(vs, k)
+    value, stats = _query(_sc_engine(vs.vclass), lambda: sc_value(vs, k))
     tree = _extract_sc(vs, k) if witness and value > 0 else None
-    return DimResult(value, tree, _stats(_sc_engine(vs.vclass)))
+    return DimResult(value, tree, stats)
 
 
 def wsc_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimResult:
-    value = wsc_value(vs, costs)
-    tree = _extract_wsc(vs, costs) if witness and value > 0 else None
     ws, wc, _ = _scale_two(costs.gamma_s, costs.gamma_c)
-    return DimResult(value, tree, _stats(_wsc_engine(vs.vclass, ws, wc)))
+    value, stats = _query(_wsc_engine(vs.vclass, ws, wc),
+                          lambda: wsc_value(vs, costs))
+    tree = _extract_wsc(vs, costs) if witness and value > 0 else None
+    return DimResult(value, tree, stats)
 
 
 def scl_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimResult:
-    value = scl_value(vs, costs)
-    tree = _extract_scl(vs, costs) if witness and value > 0 else None
     ws, wc, wl, _ = _scale_three(costs.gamma_s, costs.gamma_c, costs.gamma_l)
-    return DimResult(value, tree, _stats(_scl_engine(vs.vclass, ws, wc, wl)))
+    value, stats = _query(_scl_engine(vs.vclass, ws, wc, wl),
+                          lambda: scl_value(vs, costs))
+    tree = _extract_scl(vs, costs) if witness and value > 0 else None
+    return DimResult(value, tree, stats)
 
 
 # Witness extraction walks the memoized game again, always following
@@ -312,22 +313,14 @@ def _extract_scl(vs: VersionSpace, costs: CostVector) -> MistakeTree:
     )
     eng = _scl_engine(vs.vclass, ws, wc, wl)
     traces = cot_instances(vs.vclass)
-
-    def groups_for(z: CotInstance, alive: int) -> dict[int, int]:
-        groups: dict[int, int] = {}
-        for i in range(len(vs.vclass)):
-            if not alive >> i & 1:
-                continue
-            code = _label_code(vs.vclass.cot_label_of(i, z))
-            groups[code] = groups.get(code, 0) | (1 << i)
-        return groups
+    partitions = _scl_label_masks(vs.vclass)
 
     def build(alive: int) -> Optional[TreeNode]:
         v = eng.value(alive)
         if v == 0:
             return None
-        for z in traces:
-            groups = groups_for(z, alive)
+        for z, parts in zip(traces, partitions):
+            groups = {code: m & alive for code, m in parts if m & alive}
             if len(groups) < 2:
                 continue
             inf_mask = groups.get(kernels.INF_LABEL, 0)

@@ -1,54 +1,26 @@
-"""Kernel backend selection.
-
-The compiled backend handles classes with at most 64 verifiers (uint64
-bitmasks).  Larger classes, or the environment override COTVERIFY_PURE=1,
-route to the pure-Python kernel, which works on arbitrary-size ints.
-"""
+"""Kernel engines, one per game; the search itself lives in pure.py."""
 
 from __future__ import annotations
-
-import os
 
 from . import pure
 
 INF_LABEL = pure.INF_LABEL
 
-def _load_fast():
-    if os.environ.get("COTVERIFY_PURE") == "1":
-        return None
-    try:
-        from . import _fast as mod
-    except ImportError:
-        return None
-    return mod
+BACKEND = pure.BACKEND
 
 
-_fast = _load_fast()
-
-BACKEND = "fast" if _fast is not None else "pure"
-
-FAST_MAX_VERIFIERS = 64
+def ldim_engine(yes_masks):
+    """The plain game is the weighted game at unit costs."""
+    return pure.WscEngine(yes_masks, 1, 1)
 
 
-def backend_for(n_verifiers: int):
-    """Return the kernel module to use for a class of this size."""
-    if _fast is not None and n_verifiers <= FAST_MAX_VERIFIERS:
-        return _fast
-    return pure
+def sc_engine(yes_masks):
+    return pure.ScEngine(yes_masks)
 
 
-def ldim_engine(yes_masks, n_verifiers: int):
-    return backend_for(n_verifiers).LdimEngine(list(yes_masks))
+def wsc_engine(yes_masks, ws: int, wc: int):
+    return pure.WscEngine(yes_masks, ws, wc)
 
 
-def sc_engine(yes_masks, n_verifiers: int):
-    return backend_for(n_verifiers).ScEngine(list(yes_masks))
-
-
-def wsc_engine(yes_masks, n_verifiers: int, ws: int, wc: int):
-    return backend_for(n_verifiers).WscEngine(list(yes_masks), ws, wc)
-
-
-def scl_engine(label_masks, n_verifiers: int, ws: int, wc: int, wl: int):
-    pairs = [list(p) for p in label_masks]
-    return backend_for(n_verifiers).SclEngine(pairs, ws, wc, wl)
+def scl_engine(label_masks, ws: int, wc: int, wl: int):
+    return pure.SclEngine(label_masks, ws, wc, wl)

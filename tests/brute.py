@@ -31,7 +31,12 @@ def _splits(vclass, ids):
     return out
 
 
-def bf_ldim(vclass):
+def _start(vclass, ids):
+    """The consistent set a search starts from: all verifiers by default."""
+    return frozenset(range(len(vclass)) if ids is None else ids)
+
+
+def bf_ldim(vclass, ids=None):
     """Largest d such that a depth-d shattered complete tree exists."""
     memo = {}
 
@@ -48,14 +53,14 @@ def bf_ldim(vclass):
             )
         return memo[key]
 
-    full = frozenset(range(len(vclass)))
+    full = _start(vclass, ids)
     d = 0
     while exists(full, d + 1):
         d += 1
     return d
 
 
-def bf_sc_ldim(vclass, k):
+def bf_sc_ldim(vclass, k, ids=None):
     """Largest m such that a shattered (k, m)-difficult tree exists.
 
     Paths that spend more straight edges than the budget are
@@ -80,7 +85,7 @@ def bf_sc_ldim(vclass, k):
             memo[key] = found
         return memo[key]
 
-    full = frozenset(range(len(vclass)))
+    full = _start(vclass, ids)
     m = 0
     while exists(full, k, m + 1):
         m += 1
@@ -95,7 +100,7 @@ def _weight_grid(costs, max_edges):
     return sorted(sums)
 
 
-def bf_wsc_ldim(vclass, ws, wc):
+def bf_wsc_ldim(vclass, ws, wc, ids=None):
     """Largest achievable guaranteed weight with integer edge costs."""
     memo = {}
 
@@ -112,7 +117,7 @@ def bf_wsc_ldim(vclass, ws, wc):
             )
         return memo[key]
 
-    full = frozenset(range(len(vclass)))
+    full = _start(vclass, ids)
     best = 0
     for w in _weight_grid((ws, wc), len(vclass) - 1):
         if w > best and exists(full, w):

@@ -1,6 +1,7 @@
 """CLI subcommands: reports, exit codes, and byte-level determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -134,3 +135,45 @@ def test_boost_deterministic_reports(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
     report = json.loads(open(out1).read())
     assert report["bounds_hold"]["incorrect_zero"] is True
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_run_rejects_target_out_of_range(class_files, tmp_path, capsys):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps([[0, [0, 0, 0, 0]]]))
+    for target in ("-1", "4", "99"):
+        assert run_cli("run", "--class", class_files["indicator4"],
+                       "--learner", "majority", "--target", target,
+                       "--sequence", str(seq)) == cli.EXIT_INVALID
+        assert "0..3" in _one_error_line(capsys)
+
+
+def test_run_rejects_malformed_sequence(class_files, tmp_path, capsys):
+    for doc in ([[0, 5]], [[0]], [[0, [0, "x"]]], {"0": [0]}, [[True, [0]]]):
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps(doc))
+        assert run_cli("run", "--class", class_files["indicator4"],
+                       "--learner", "majority", "--target", "0",
+                       "--sequence", str(seq)) == cli.EXIT_INVALID
+        _one_error_line(capsys)
+
+
+def test_deep_search_fails_cleanly(tmp_path, capsys):
+    # complement(n) at k=0 is a chain n - 1 levels deep; the recursive
+    # kernel cannot go deeper than the interpreter's recursion limit.
+    # The limit is lowered here so that a small class reaches it.
+    path = str(tmp_path / "complement.json")
+    families.save_class(families.complement_class(300, 9), path)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        code = run_cli("dim", "--class", path, "--kind", "sc", "--k", "0")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == cli.EXIT_INVALID
+    assert "search too deep" in _one_error_line(capsys)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute
-from cotverify import dimensions, families
+from cotverify import dimensions, families, kernels
 from cotverify.core import CostVector, NoWitness, VersionSpace, cot_instances
+from cotverify.kernels import pure
 
 UNIT = CostVector(Fraction(1), Fraction(1), Fraction(0))
 
@@ -132,8 +133,140 @@ def test_sc_witness_at_zero_budget():
 def test_dim_results_report_backend():
     vs = VersionSpace.full(families.indicator_class(3))
     res = dimensions.ldim(vs)
-    assert res.stats["backend"] in ("pure", "fast")
+    assert res.stats["backend"] == kernels.BACKEND == "pure"
     assert res.stats["nodes_expanded"] >= 1
+
+
+def test_stats_report_node_counts():
+    rng = random.Random(1)
+    vc = brute.random_class(rng)
+    eng = pure.WscEngine(vc.yes_masks, 1, 1)
+    eng.value(VersionSpace.full(vc).alive)
+    nodes, hits = eng.stats()
+    assert nodes >= 1 and hits >= 0
+    assert len(eng.memo) == nodes
+
+
+def test_query_stats_count_only_this_query():
+    vs = VersionSpace.full(families.singleton_bitstring_class(5))
+    first = dimensions.sc_ldim(vs, 1, witness=False).stats
+    assert first["nodes_expanded"] >= 1
+    # The witness extraction searches again; the next query must not
+    # report that work, nor the first query's.
+    dimensions.sc_ldim(vs, 1, witness=True)
+    again = dimensions.sc_ldim(vs, 1, witness=False).stats
+    assert again["nodes_expanded"] == 0
+    assert again["memo_hits"] == 1
+
+
+def _ids(alive):
+    return [i for i in range(alive.bit_length()) if alive >> i & 1]
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 3),
+       costs=st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 2), (5, 1), (0, 1),
+                              (1, 0)]))
+@settings(max_examples=60, deadline=None)
+def test_pruned_kernels_match_brute_force(seed, k, costs):
+    rng = random.Random(seed)
+    vc = brute.random_class(rng)
+    vs = VersionSpace.full(vc)
+    ws, wc = costs
+    assert dimensions.ldim_value(vs) == brute.bf_ldim(vc)
+    assert dimensions.sc_value(vs, k) == brute.bf_sc_ldim(vc, k)
+    gammas = CostVector(Fraction(ws), Fraction(wc), Fraction(0))
+    assert dimensions.wsc_value(vs, gammas) == brute.bf_wsc_ldim(vc, ws, wc)
+    tc = brute.random_full_trace_class(rng, max_h=6, L=2)
+    assert dimensions.scl_value(
+        VersionSpace.full(tc), CostVector(Fraction(3), Fraction(2), Fraction(1))
+    ) == brute.bf_scl_ldim(tc, 3, 2, 1)
+
+
+def test_memo_entries_are_exact_values():
+    # Pruning may leave a split unsolved, but every version space it does
+    # solve must hold its exact value, so later queries can reuse it.
+    rng = random.Random(31337)
+    for trial in range(12):
+        vc = brute.random_class(rng)
+        vs = VersionSpace.full(vc)
+        for k in (0, 1, 2):
+            dimensions.sc_value(vs, k)
+        for (alive, k), v in dimensions._sc_engine(vc).memo.items():
+            assert v == brute.bf_sc_ldim(vc, k, _ids(alive)), (trial, k)
+        for ws, wc in ((1, 1), (3, 1), (2, 3), (0, 1)):
+            costs = CostVector(Fraction(ws), Fraction(wc), Fraction(0))
+            dimensions.wsc_value(vs, costs)
+            for alive, v in dimensions._wsc_engine(vc, ws, wc).memo.items():
+                assert v == brute.bf_wsc_ldim(vc, ws, wc, _ids(alive)), (
+                    trial, ws, wc)
+        dimensions.ldim_value(vs)
+        for alive, v in dimensions._ldim_engine(vc).memo.items():
+            assert v == brute.bf_ldim(vc, _ids(alive)), trial
+
+
+def test_complement_32_is_solved_in_linear_nodes():
+    # |H| = 32 and the values are n - 1 and 1: pruning must find them
+    # without visiting the 2^32 subsets the unpruned game would.
+    n = 32
+    vs = VersionSpace.full(families.complement_class(n, 5))
+    res0 = dimensions.sc_ldim(vs, 0, witness=False)
+    res1 = dimensions.sc_ldim(vs, 1, witness=False)
+    assert (res0.value, res1.value) == (n - 1, 1)
+    assert res0.stats["nodes_expanded"] <= 2 * n
+    assert res1.stats["nodes_expanded"] <= 2 * n
+
+
+def test_sc_bound_is_least_leaf_count_inverse():
+    def least_leaves(k, d):
+        if d == 0:
+            return 1
+        if k == 0:
+            return d + 1
+        return least_leaves(k, d - 1) + least_leaves(k - 1, d - 1)
+
+    for k in range(4):
+        for size in range(1, 70):
+            d = pure.sc_bound(size, k)
+            assert least_leaves(k, d) <= size < least_leaves(k, d + 1)
+
+
+def test_wsc_bound_inverts_leaf_recurrence():
+    for size in range(1, 70):
+        assert pure.wsc_bound(size, 1, 1) == size.bit_length() - 1
+        for d in (2, 3, 5):
+            assert pure.wsc_bound(size, d, 1) == (
+                dimensions.max_weight_for_leaves(size, d))
+            # Scaling both costs scales the bound; swapping them changes
+            # nothing, because L is symmetric in the two costs.
+            assert pure.wsc_bound(size, 3 * d, 3) == 3 * pure.wsc_bound(size, d, 1)
+            assert pure.wsc_bound(size, 1, d) == pure.wsc_bound(size, d, 1)
+    assert pure.wsc_bound(5, 0, 1) == pure.wsc_bound(5, 1, 0) == float("inf")
+
+
+def test_scl_partitions_match_cot_labels():
+    rng = random.Random(5)
+    classes = [brute.random_full_trace_class(rng, max_h=6, L=3)
+               for _ in range(10)]
+    classes.append(families.with_fail_token(families.singleton_bitstring_class(3)))
+    for vc in classes:
+        parts = dimensions._scl_label_masks(vc)
+        for z, pairs in zip(cot_instances(vc), parts):
+            groups = {}
+            for i in range(len(vc)):
+                code = dimensions._label_code(vc.cot_label_of(i, z))
+                groups[code] = groups.get(code, 0) | (1 << i)
+            assert pairs == sorted(groups.items())
+
+
+def test_scl_handles_unanimous_instances():
+    # A trace on which every verifier agrees offers the adversary no
+    # branch; the game must skip it rather than recurse on itself.
+    rng = random.Random(0)
+    unit = CostVector(Fraction(1), Fraction(1), Fraction(1))
+    for _ in range(20):
+        vc = brute.random_full_trace_class(rng, max_h=4, L=2)
+        vs = VersionSpace.full(vc)
+        assert dimensions.scl_value(vs, unit) == brute.bf_scl_ldim(vc, 1, 1, 1)
 
 
 def test_restricted_spaces_shrink_dimension():
