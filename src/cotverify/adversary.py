@@ -18,13 +18,13 @@ from .core import (
     ALL_CORRECT,
     CotInstance,
     LearnerNotSound,
-    MistakeKind,
     Transcript,
     TreeNotShattered,
     VersionSpace,
     classify_mistake,
     classify_prefix_mistake,
     fault_at,
+    is_fault,
 )
 from .dimensions import MistakeTree, TreeNode, verify_shattered
 
@@ -120,9 +120,7 @@ def prop32_adversary(n: int, learner, L: Optional[int] = None) -> Transcript:
     ]
     for i, z in enumerate(designated):
         pred = learner.predict(z)
-        rejectable = any(
-            vclass.cot_label_of(h, z) != ALL_CORRECT for h in space.ids()
-        )
+        rejectable = any(is_fault(y) for y in space.cot_labels(z))
         if pred == ALL_CORRECT and rejectable:
             raise LearnerNotSound(
                 f"accepted trace {i} while a consistent target rejects it"

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .core import (
     CotInstance,
@@ -73,7 +73,6 @@ class Prover:
 class ProverSet:
     provers: tuple
     alpha: Fraction
-    declared_good_problems: Optional[frozenset] = None
 
     def __post_init__(self):
         if len(self.provers) < 1:

@@ -266,8 +266,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_duel(args) -> int:
+    if args.adversary == "tree" and args.learner not in (
+            "sc-soa", "wsc-soa", "scl-soa"):
+        raise CotVerifyError(
+            "the tree adversary only plays sc-soa, wsc-soa or scl-soa, "
+            f"not {args.learner}"
+        )
     vc = families.load_class(args.class_file)
     learner = _make_learner(args.learner, vc, args)
+    if args.adversary != "tree" and learner.mode != "cot":
+        raise CotVerifyError(
+            f"the {args.adversary} adversary plays full traces; "
+            f"{args.learner} is a prefix learner"
+        )
     vs = VersionSpace.full(vc)
     costs = _costs(args)
     verdict = "bound-met"
@@ -282,16 +293,11 @@ def cmd_duel(args) -> int:
             bound = dimensions.wsc_value(vs, costs)
             transcript = adversary.play_tree_adversary(tree, learner)
             achieved = transcript.total_cost
-        elif args.learner == "scl-soa":
+        else:
             tree = dimensions.extract_witness(vs, "SCL", costs=learner.costs)
             bound = dimensions.scl_value(vs, learner.costs)
             transcript = adversary.play_tree_adversary(tree, learner)
             achieved = transcript.total_cost
-        else:
-            tree = dimensions.extract_witness(vs, "plain")
-            bound = Fraction(dimensions.ldim_value(vs))
-            transcript = adversary.play_tree_adversary(tree, learner)
-            achieved = Fraction(transcript.total_mistakes)
         if achieved == bound:
             verdict = "tight"
         elif achieved > bound:
@@ -400,9 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cotverify",
         description="Online chain-of-thought verification toolkit",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; runs are single-threaded for "
-                             "reproducible stats")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("families", help="generate a verifier class file")

@@ -180,6 +180,7 @@ class VerifierClass:
         self.fail_token = fail_token
         self._validate()
         self._index = {z: i for i, z in enumerate(self.universe)}
+        self._partitions: dict[CotInstance, tuple[tuple[Label, int], ...]] = {}
         # yes_masks[i] = bitmask over verifier ids accepting universe[i]
         self.yes_masks = [0] * len(self.universe)
         for v in self.verifiers:
@@ -230,13 +231,12 @@ class VerifierClass:
     ) -> "VerifierClass":
         """Build from a per-instance column table {z: [h_0(z), h_1(z), ...]}."""
         universe = sorted(table, key=PrefixInstance.sort_key)
-        n = {len(col) for col in table.values()}
-        if len(n) != 1:
+        columns = [table[z] for z in universe]
+        if len({len(col) for col in columns}) != 1:
             raise SchemaError("ragged verifier columns")
-        (n,) = n
         verifiers = [
-            Verifier(i, tuple(bool(table[z][i]) for z in universe))
-            for i in range(n)
+            Verifier(i, tuple(map(bool, row)))
+            for i, row in enumerate(zip(*columns))
         ]
         return cls(sigma, problems, L, universe, verifiers, fail_token)
 
@@ -256,7 +256,10 @@ class VerifierClass:
         return self.verifiers[verifier_id].rows[self.index_of(z)]
 
     def cot_label_of(self, verifier_id: int, z: CotInstance) -> Label:
-        """First prefix of z the verifier rejects, ALL_CORRECT if none."""
+        """First prefix of z the verifier rejects, ALL_CORRECT if none.
+
+        The per-verifier reference for cot_partition.
+        """
         if len(z.steps) != self.L:
             raise UnknownInstance(
                 f"trace length {len(z.steps)} != L={self.L}"
@@ -266,6 +269,33 @@ class VerifierClass:
             if not rows[self.index_of(z.prefix(ell))]:
                 return fault_at(ell)
         return ALL_CORRECT
+
+    def cot_partition(self, z: CotInstance) -> tuple[tuple[Label, int], ...]:
+        """The verifiers grouped by derived label on z: (label, mask) pairs
+        in label order, one per label some verifier derives.  Cached per
+        trace."""
+        part = self._partitions.get(z)
+        if part is not None:
+            return part
+        if len(z.steps) != self.L:
+            raise UnknownInstance(
+                f"trace length {len(z.steps)} != L={self.L}"
+            )
+        # A verifier's label is the first prefix it rejects: peel the
+        # rejecters of each prefix off the verifiers that accepted so far.
+        groups = []
+        accepted = self.full_mask()
+        for ell in range(1, self.L + 1):
+            if not accepted:
+                break
+            yes = self.yes_masks[self.index_of(z.prefix(ell))]
+            if accepted & ~yes:
+                groups.append((fault_at(ell), accepted & ~yes))
+            accepted &= yes
+        if accepted:
+            groups.append((ALL_CORRECT, accepted))
+        part = self._partitions[z] = tuple(groups)
+        return part
 
     def full_mask(self) -> int:
         return (1 << len(self.verifiers)) - 1
@@ -312,18 +342,16 @@ class VersionSpace:
 
     def restrict_cot(self, z: CotInstance, y: Label) -> "VersionSpace":
         """Keep verifiers whose derived chain-of-thought label on z is y."""
-        alive = 0
-        for i in self.ids():
-            if self.vclass.cot_label_of(i, z) == y:
-                alive |= 1 << i
-        return VersionSpace(self.vclass, alive)
+        for label, mask in self.vclass.cot_partition(z):
+            if label == y:
+                return VersionSpace(self.vclass, self.alive & mask)
+        return VersionSpace(self.vclass, 0)
 
     def cot_labels(self, z: CotInstance) -> set[Label]:
-        return {self.vclass.cot_label_of(i, z) for i in self.ids()}
-
-
-def restrict(vs: VersionSpace, z: PrefixInstance, y: PrefixLabel) -> VersionSpace:
-    return vs.restrict(z, y)
+        return {
+            label for label, mask in self.vclass.cot_partition(z)
+            if mask & self.alive
+        }
 
 
 def cot_instances(vclass: VerifierClass) -> list[CotInstance]:
@@ -358,14 +386,6 @@ class Oracle:
             rows[self.vclass.index_of(PrefixInstance(z.problem, z.steps[:i]))]
             for i in range(1, len(z.steps) + 1)
         )
-
-
-def oracle_prefix_label(oracle: Oracle, z: PrefixInstance) -> PrefixLabel:
-    return oracle.prefix_label(z)
-
-
-def oracle_cot_label(oracle: Oracle, z: CotInstance) -> Label:
-    return oracle.cot_label(z)
 
 
 class MistakeKind(Enum):

@@ -34,11 +34,9 @@ from .core import (
     MalformedTree,
     NoWitness,
     PrefixInstance,
-    PrefixLabel,
     VerifierClass,
     VersionSpace,
     cot_instances,
-    fault_at,
     is_fault,
 )
 
@@ -100,14 +98,11 @@ def _sc_engine(vclass: VerifierClass):
     return _cached(vclass, "sc", lambda: kernels.sc_engine(vclass.yes_masks))
 
 
-def _scale_two(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    scale = math.lcm(a.denominator, b.denominator)
-    return int(a * scale), int(b * scale), scale
-
-
-def _scale_three(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
-    scale = math.lcm(a.denominator, b.denominator, c.denominator)
-    return int(a * scale), int(b * scale), int(c * scale), scale
+def _scale(*costs: Fraction) -> tuple[int, ...]:
+    """The costs as integers over their least common denominator, followed
+    by that denominator."""
+    scale = math.lcm(*(c.denominator for c in costs))
+    return (*(int(c * scale) for c in costs), scale)
 
 
 def _wsc_engine(vclass: VerifierClass, ws: int, wc: int):
@@ -115,36 +110,11 @@ def _wsc_engine(vclass: VerifierClass, ws: int, wc: int):
                    lambda: kernels.wsc_engine(vclass.yes_masks, ws, wc))
 
 
-def _label_code(label: Label) -> int:
-    return kernels.INF_LABEL if label == ALL_CORRECT else int(label)
-
-
-def _code_label(code: int) -> Label:
-    return ALL_CORRECT if code == kernels.INF_LABEL else float(code)
-
-
-def _scl_label_masks(vclass: VerifierClass) -> list[list[tuple[int, int]]]:
-    """Per full trace (in cot_instances order), the partition of verifier
-    ids by derived label, as sorted (label code, mask) pairs."""
-
-    def build():
-        # A verifier's label on z is the first prefix it rejects: peel the
-        # rejecters of each prefix off the verifiers that accepted so far.
-        out = []
-        for z in cot_instances(vclass):
-            groups: dict[int, int] = {}
-            accepted = vclass.full_mask()
-            for ell, prefix in enumerate(z.prefixes(), start=1):
-                yes = vclass.yes_masks[vclass.index_of(prefix)]
-                if accepted & ~yes:
-                    groups[_label_code(fault_at(ell))] = accepted & ~yes
-                accepted &= yes
-            if accepted:
-                groups[_label_code(ALL_CORRECT)] = accepted
-            out.append(sorted(groups.items()))
-        return out
-
-    return _cached(vclass, "scl_labels", build)
+def _scl_label_masks(vclass: VerifierClass) -> list[tuple[tuple[Label, int], ...]]:
+    """Per full trace (in cot_instances order), its label partition."""
+    return _cached(vclass, "scl_labels", lambda: [
+        vclass.cot_partition(z) for z in cot_instances(vclass)
+    ])
 
 
 def _scl_engine(vclass: VerifierClass, ws: int, wc: int, wl: int):
@@ -177,16 +147,14 @@ def sc_value(vs: VersionSpace, k: int) -> int:
 
 
 def wsc_value(vs: VersionSpace, costs: CostVector) -> Fraction:
-    ws, wc, scale = _scale_two(costs.gamma_s, costs.gamma_c)
+    ws, wc, scale = _scale(costs.gamma_s, costs.gamma_c)
     raw = _wsc_engine(vs.vclass, ws, wc).value(vs.alive)
     return Fraction(raw, scale)
 
 
 def scl_value(vs: VersionSpace, costs: CostVector) -> Fraction:
     costs.require_ordered()
-    ws, wc, wl, scale = _scale_three(
-        costs.gamma_s, costs.gamma_c, costs.gamma_l
-    )
+    ws, wc, wl, scale = _scale(costs.gamma_s, costs.gamma_c, costs.gamma_l)
     raw = _scl_engine(vs.vclass, ws, wc, wl).value(vs.alive)
     return Fraction(raw, scale)
 
@@ -207,7 +175,7 @@ def sc_ldim(vs: VersionSpace, k: int, witness: bool = True) -> DimResult:
 
 
 def wsc_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimResult:
-    ws, wc, _ = _scale_two(costs.gamma_s, costs.gamma_c)
+    ws, wc, _ = _scale(costs.gamma_s, costs.gamma_c)
     value, stats = _query(_wsc_engine(vs.vclass, ws, wc),
                           lambda: wsc_value(vs, costs))
     tree = _extract_wsc(vs, costs) if witness and value > 0 else None
@@ -215,142 +183,118 @@ def wsc_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimRe
 
 
 def scl_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimResult:
-    ws, wc, wl, _ = _scale_three(costs.gamma_s, costs.gamma_c, costs.gamma_l)
+    ws, wc, wl, _ = _scale(costs.gamma_s, costs.gamma_c, costs.gamma_l)
     value, stats = _query(_scl_engine(vs.vclass, ws, wc, wl),
                           lambda: scl_value(vs, costs))
     tree = _extract_scl(vs, costs) if witness and value > 0 else None
     return DimResult(value, tree, stats)
 
 
-# Witness extraction walks the memoized game again, always following
-# branches whose exact values realize the parent's value, so the minimal
-# path of the returned tree meets the dimension with equality.
+# Witness extraction walks the memoized game again, always following a
+# move whose exact value realizes the node's value, so the minimal path of
+# the returned tree meets the dimension with equality.  Each game gives its
+# moves once, as moves(state) yielding (instance, move value, edges) in
+# search order, each edge (label, kind, weight, child state); a child
+# state of None is a bare leaf.
+
+def _extract(kind: str, value, moves, state, budget=None) -> MistakeTree:
+    if value(state) == 0:
+        raise NoWitness("dimension is 0")
+
+    def build(state) -> Optional[TreeNode]:
+        v = value(state)
+        if v == 0:
+            return None
+        for z, move_value, edges in moves(state):
+            if move_value == v:
+                return TreeNode(z, tuple(
+                    TreeEdge(label, k, w, None if child is None else build(child))
+                    for label, k, w, child in edges
+                ))
+        raise AssertionError("memoized value has no realizing move")
+
+    return MistakeTree(kind, build(state), budget)
+
 
 def _splits(vclass: VerifierClass, alive: int):
-    for z in vclass.universe:
-        y = vclass.yes_masks[vclass.index_of(z)] & alive
-        if y == 0 or y == alive:
-            continue
-        yield z, y, alive & ~vclass.yes_masks[vclass.index_of(z)]
+    for z, m in zip(vclass.universe, vclass.yes_masks):
+        y = m & alive
+        if y and y != alive:
+            yield z, y, alive ^ y
+
+
+def _weighted_moves(vclass: VerifierClass, eng, ws: int, wc: int,
+                    gamma_s: Fraction, gamma_c: Fraction):
+    """The prefix game's moves: a curvy YES edge and a straight NO edge."""
+
+    def moves(alive):
+        for z, y, n in _splits(vclass, alive):
+            yield z, min(ws + eng.value(n), wc + eng.value(y)), (
+                (True, "c", gamma_c, y), (False, "s", gamma_s, n))
+
+    return moves
 
 
 def _extract_plain(vs: VersionSpace) -> MistakeTree:
     eng = _ldim_engine(vs.vclass)
     one = Fraction(1)
+    return _extract("plain", eng.value,
+                    _weighted_moves(vs.vclass, eng, 1, 1, one, one), vs.alive)
 
-    def build(alive: int) -> Optional[TreeNode]:
-        v = eng.value(alive)
-        if v == 0:
-            return None
-        for z, y, n in _splits(vs.vclass, alive):
-            if 1 + min(eng.value(y), eng.value(n)) == v:
-                return TreeNode(z, (
-                    TreeEdge(True, "c", one, build(y)),
-                    TreeEdge(False, "s", one, build(n)),
-                ))
-        raise AssertionError("memoized value has no realizing split")
 
-    if eng.value(vs.alive) == 0:
-        raise NoWitness("dimension is 0")
-    return MistakeTree("plain", build(vs.alive))
+def _extract_wsc(vs: VersionSpace, costs: CostVector) -> MistakeTree:
+    ws, wc, _ = _scale(costs.gamma_s, costs.gamma_c)
+    eng = _wsc_engine(vs.vclass, ws, wc)
+    moves = _weighted_moves(vs.vclass, eng, ws, wc,
+                            costs.gamma_s, costs.gamma_c)
+    return _extract("WSC", eng.value, moves, vs.alive)
 
 
 def _extract_sc(vs: VersionSpace, k: int) -> MistakeTree:
     eng = _sc_engine(vs.vclass)
     one = Fraction(1)
 
-    def build(alive: int, k: int) -> Optional[TreeNode]:
-        v = eng.value(alive, k)
-        if v == 0:
-            return None
+    def moves(state):
+        alive, budget = state
         for z, y, n in _splits(vs.vclass, alive):
-            curvy = 1 + eng.value(y, k)
-            if k > 0:
-                cand = min(curvy, 1 + eng.value(n, k - 1))
+            curvy = (True, "c", one, (y, budget))
+            if budget == 0:
+                # At budget 0 the straight subtree is unconstrained, so a
+                # bare leaf keeps the tree shattered without adding depth.
+                yield z, 1 + eng.value(y, 0), (curvy, (False, "s", one, None))
             else:
-                cand = curvy
-            if cand != v:
-                continue
-            # At budget 0 the straight subtree is unconstrained, so a
-            # bare leaf keeps the tree shattered without adding depth.
-            straight_child = build(n, k - 1) if k > 0 else None
-            return TreeNode(z, (
-                TreeEdge(True, "c", one, build(y, k)),
-                TreeEdge(False, "s", one, straight_child),
-            ))
-        raise AssertionError("memoized value has no realizing split")
+                yield z, 1 + min(eng.value(y, budget), eng.value(n, budget - 1)), (
+                    curvy, (False, "s", one, (n, budget - 1)))
 
-    if eng.value(vs.alive, k) == 0:
-        raise NoWitness("dimension is 0")
-    return MistakeTree("SC", build(vs.alive, k), budget=k)
-
-
-def _extract_wsc(vs: VersionSpace, costs: CostVector) -> MistakeTree:
-    ws, wc, scale = _scale_two(costs.gamma_s, costs.gamma_c)
-    eng = _wsc_engine(vs.vclass, ws, wc)
-
-    def build(alive: int) -> Optional[TreeNode]:
-        v = eng.value(alive)
-        if v == 0:
-            return None
-        for z, y, n in _splits(vs.vclass, alive):
-            if min(ws + eng.value(n), wc + eng.value(y)) == v:
-                return TreeNode(z, (
-                    TreeEdge(True, "c", costs.gamma_c, build(y)),
-                    TreeEdge(False, "s", costs.gamma_s, build(n)),
-                ))
-        raise AssertionError("memoized value has no realizing split")
-
-    if eng.value(vs.alive) == 0:
-        raise NoWitness("dimension is 0")
-    return MistakeTree("WSC", build(vs.alive))
+    return _extract("SC", lambda state: eng.value(*state), moves,
+                    (vs.alive, k), budget=k)
 
 
 def _extract_scl(vs: VersionSpace, costs: CostVector) -> MistakeTree:
     costs.require_ordered()
-    ws, wc, wl, scale = _scale_three(
-        costs.gamma_s, costs.gamma_c, costs.gamma_l
-    )
+    ws, wc, wl, _ = _scale(costs.gamma_s, costs.gamma_c, costs.gamma_l)
     eng = _scl_engine(vs.vclass, ws, wc, wl)
     traces = cot_instances(vs.vclass)
     partitions = _scl_label_masks(vs.vclass)
 
-    def build(alive: int) -> Optional[TreeNode]:
-        v = eng.value(alive)
-        if v == 0:
-            return None
+    def moves(alive):
         for z, parts in zip(traces, partitions):
-            groups = {code: m & alive for code, m in parts if m & alive}
+            groups = [(label, m & alive) for label, m in parts if m & alive]
             if len(groups) < 2:
                 continue
-            inf_mask = groups.get(kernels.INF_LABEL, 0)
-            fault_codes = sorted(c for c in groups if c != kernels.INF_LABEL)
-            if inf_mask:
-                for code in fault_codes:
-                    sub = groups[code]
-                    if min(ws + eng.value(sub), wc + eng.value(inf_mask)) == v:
-                        return TreeNode(z, (
-                            TreeEdge(_code_label(code), "s",
-                                     costs.gamma_s, build(sub)),
-                            TreeEdge(ALL_CORRECT, "c",
-                                     costs.gamma_c, build(inf_mask)),
-                        ))
-            for a_i, ca in enumerate(fault_codes):
-                for cb in fault_codes[a_i + 1:]:
-                    va = eng.value(groups[ca])
-                    vb = eng.value(groups[cb])
-                    if wl + min(va, vb) == v:
-                        return TreeNode(z, (
-                            TreeEdge(_code_label(ca), "l",
-                                     costs.gamma_l, build(groups[ca])),
-                            TreeEdge(_code_label(cb), "l",
-                                     costs.gamma_l, build(groups[cb])),
-                        ))
-        raise AssertionError("memoized value has no realizing branch")
+            faults = [g for g in groups if is_fault(g[0])]
+            if len(faults) < len(groups):  # ALL_CORRECT comes last
+                correct = groups[-1][1]
+                for label, sub in faults:
+                    yield z, min(ws + eng.value(sub), wc + eng.value(correct)), (
+                        (label, "s", costs.gamma_s, sub),
+                        (ALL_CORRECT, "c", costs.gamma_c, correct))
+            for i, (la, a) in enumerate(faults):
+                for lb, b in faults[i + 1:]:
+                    yield z, wl + min(eng.value(a), eng.value(b)), (
+                        (la, "l", costs.gamma_l, a), (lb, "l", costs.gamma_l, b))
 
-    if eng.value(vs.alive) == 0:
-        raise NoWitness("dimension is 0")
-    return MistakeTree("SCL", build(vs.alive))
+    return _extract("SCL", eng.value, moves, vs.alive)
 
 
 def extract_witness(

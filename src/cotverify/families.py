@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     CapExceeded,
@@ -338,23 +338,25 @@ def load_class(path, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
             for p, steps in doc["universe"]
         ]
         verifiers_doc = sorted(doc["verifiers"], key=lambda v: v["id"])
-        rows = [[bool(r) for r in v["rows"]] for v in verifiers_doc]
-        for v, r in zip(verifiers_doc, rows):
-            if any(x not in (0, 1) for x in v["rows"]):
-                raise SchemaError(f"{path}: non-binary row entry")
+        ids = [v["id"] for v in verifiers_doc]
+        rows = [v["rows"] for v in verifiers_doc]
     except (TypeError, ValueError, KeyError) as e:
         raise SchemaError(f"{path}: malformed field: {e}") from None
+    if any(type(i) is not int for i in ids) or ids != list(range(len(ids))):
+        raise SchemaError(f"{path}: verifier ids must be exactly 0..n-1")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != len(universe):
+            raise SchemaError(f"{path}: verifier {i} row length mismatch")
+        if any(x not in (0, 1) for x in row):
+            raise SchemaError(f"{path}: non-binary row entry")
+    fail_token = doc.get("fail_token")
+    if fail_token is not None and type(fail_token) is not int:
+        raise SchemaError(f"{path}: fail_token must be an integer")
     _check_caps(len(rows), len(universe), caps)
-    table = {z: [rows[i][j] for i in range(len(rows))] for j, z in enumerate(universe)}
-    if len(table) != len(universe):
+    if len(set(universe)) != len(universe):
         raise SchemaError(f"{path}: duplicate universe instance")
-    for v in verifiers_doc:
-        if len(v["rows"]) != len(universe):
-            raise SchemaError(f"{path}: verifier {v['id']} row length mismatch")
+    columns = list(zip(*rows)) or [()] * len(universe)  # no verifiers
+    table = dict(zip(universe, columns))
     return VerifierClass.build(
-        sigma,
-        problems,
-        int(doc["L"]),
-        table,
-        fail_token=doc.get("fail_token"),
+        sigma, problems, int(doc["L"]), table, fail_token=fail_token
     )

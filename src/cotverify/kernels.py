@@ -1,4 +1,4 @@
-"""Pure-Python minimax kernels over bitmask version spaces.
+"""Minimax kernels over bitmask version spaces, one engine per game.
 
 All version spaces are int bitmasks over verifier ids; costs arrive
 pre-scaled to integers.  Each game function takes a memo dict and a
@@ -22,10 +22,9 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 
-BACKEND = "pure"
+from .core import ALL_CORRECT
 
-# Sequence-level label code for "all steps correct".
-INF_LABEL = 0
+BACKEND = "pure"
 
 
 @functools.cache
@@ -167,11 +166,11 @@ def wsc_ldim(yes_masks, alive, ws, wc, memo, stats):
 def scl_ldim(label_masks, alive, ws, wc, wl, memo, stats):
     """Sequence-level weighted dimension.
 
-    label_masks: per instance, a list of (label_code, mask) pairs where
-    label_code is 1..L for a first-fault location and INF_LABEL for a fully
-    correct trace.  At each node the adversary commits to either two
-    distinct fault labels (two l-edges) or one fault label plus the
-    all-correct label (s-edge + c-edge).
+    label_masks: per instance, the (label, mask) pairs of
+    VerifierClass.cot_partition: label 1..L for a first-fault location and
+    ALL_CORRECT for a fully correct trace.  At each node the adversary
+    commits to either two distinct fault labels (two l-edges) or one fault
+    label plus the all-correct label (s-edge + c-edge).
     """
     if alive & (alive - 1) == 0:
         return 0
@@ -194,7 +193,7 @@ def scl_ldim(label_masks, alive, ws, wc, wl, memo, stats):
                 faults = []
                 inf_mask = 0
                 break
-            if label == INF_LABEL:
+            if label == ALL_CORRECT:
                 inf_mask = sub
             else:
                 faults.append(sub)
@@ -262,3 +261,20 @@ class SclEngine(_Engine):
     def value(self, alive):
         return scl_ldim(self.label_masks, alive, self.ws, self.wc, self.wl,
                         self.memo, self._stats)
+
+
+def ldim_engine(yes_masks):
+    """The plain game is the weighted game at unit costs."""
+    return WscEngine(yes_masks, 1, 1)
+
+
+def sc_engine(yes_masks):
+    return ScEngine(yes_masks)
+
+
+def wsc_engine(yes_masks, ws: int, wc: int):
+    return WscEngine(yes_masks, ws, wc)
+
+
+def scl_engine(label_masks, ws: int, wc: int, wl: int):
+    return SclEngine(label_masks, ws, wc, wl)

@@ -13,6 +13,7 @@ bug, not a recoverable condition.
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -24,7 +25,6 @@ from .core import (
     CotInstance,
     EmptyVersionSpace,
     Label,
-    MistakeKind,
     Oracle,
     PrefixInstance,
     PrefixLabel,
@@ -39,7 +39,19 @@ from .core import (
 _UNIT_COSTS = CostVector(Fraction(1), Fraction(1), Fraction(0))
 
 
-class MajorityVote:
+class _SpaceLearner:
+    """Base of the learners whose state is a version space plus immutable
+    values, so that a shallow copy is a frozen snapshot."""
+
+    def __init__(self, vclass: VerifierClass, costs: CostVector = _UNIT_COSTS):
+        self.vs = VersionSpace.full(vclass)
+        self.costs = costs
+
+    def snapshot(self) -> Callable:
+        return copy.copy(self).predict
+
+
+class MajorityVote(_SpaceLearner):
     """Accept each step while a strict majority of alive verifiers does.
 
     Halving learner: every mistake removes at least half of the alive
@@ -48,10 +60,6 @@ class MajorityVote:
 
     mode = "cot"
     mistake_mode = "prefix-level"
-
-    def __init__(self, vclass: VerifierClass, costs: CostVector = _UNIT_COSTS):
-        self.vs = VersionSpace.full(vclass)
-        self.costs = costs
 
     def predict(self, z: CotInstance) -> Label:
         if self.vs.alive == 0:
@@ -67,13 +75,8 @@ class MajorityVote:
         if self.predict(z) != truth:
             self.vs = self.vs.restrict_cot(z, truth)
 
-    def snapshot(self) -> Callable[[CotInstance], Label]:
-        frozen = MajorityVote(self.vs.vclass, self.costs)
-        frozen.vs = self.vs
-        return frozen.predict
 
-
-class SoundConservative:
+class SoundConservative(_SpaceLearner):
     """Accept a step only when every alive verifier does.
 
     Never makes a soundness mistake: the target is alive, so any step it
@@ -82,10 +85,6 @@ class SoundConservative:
 
     mode = "cot"
     mistake_mode = "prefix-level"
-
-    def __init__(self, vclass: VerifierClass, costs: CostVector = _UNIT_COSTS):
-        self.vs = VersionSpace.full(vclass)
-        self.costs = costs
 
     def predict(self, z: CotInstance) -> Label:
         if self.vs.alive == 0:
@@ -98,11 +97,6 @@ class SoundConservative:
     def update(self, z: CotInstance, truth: Label) -> None:
         if self.predict(z) != truth:
             self.vs = self.vs.restrict_cot(z, truth)
-
-    def snapshot(self) -> Callable[[CotInstance], Label]:
-        frozen = SoundConservative(self.vs.vclass, self.costs)
-        frozen.vs = self.vs
-        return frozen.predict
 
 
 class RiverCrossingSound:
@@ -173,7 +167,7 @@ class RiverCrossingSound:
         return frozen.predict
 
 
-class ScSoa:
+class ScSoa(_SpaceLearner):
     """Budgeted standard optimal algorithm for prefix verification.
 
     Spends at most k soundness mistakes (accepting a bad step) and at
@@ -186,9 +180,8 @@ class ScSoa:
     def __init__(self, vclass: VerifierClass, k: int, costs: CostVector = _UNIT_COSTS):
         if k < 0:
             raise ValueError("budget k must be >= 0")
-        self.vs = VersionSpace.full(vclass)
+        super().__init__(vclass, costs)
         self.k = k
-        self.costs = costs
 
     @staticmethod
     def _predict(vs: VersionSpace, k: int, z: PrefixInstance) -> PrefixLabel:
@@ -217,7 +210,7 @@ class ScSoa:
         return lambda z: ScSoa._predict(vs, k, z)
 
 
-class WscSoa:
+class WscSoa(_SpaceLearner):
     """Cost-weighted standard optimal algorithm for prefix verification.
 
     Guarantees cumulative cost at most the weighted dimension of the
@@ -227,10 +220,6 @@ class WscSoa:
 
     mode = "prefix"
     mistake_mode = "prefix-level"
-
-    def __init__(self, vclass: VerifierClass, costs: CostVector):
-        self.vs = VersionSpace.full(vclass)
-        self.costs = costs
 
     @staticmethod
     def _predict(vs: VersionSpace, costs: CostVector, z: PrefixInstance) -> PrefixLabel:
@@ -266,7 +255,7 @@ def _scl_loss(costs: CostVector, pred: Label, truth: Label) -> Fraction:
     return costs.gamma_l
 
 
-class SclSoa:
+class SclSoa(_SpaceLearner):
     """Sequence-level optimal algorithm over full reasoning traces.
 
     Predicts the fault label minimizing the worst-case loss plus the
@@ -279,8 +268,7 @@ class SclSoa:
 
     def __init__(self, vclass: VerifierClass, costs: CostVector):
         costs.require_ordered()
-        self.vs = VersionSpace.full(vclass)
-        self.costs = costs
+        super().__init__(vclass, costs)
 
     @staticmethod
     def _predict(vs: VersionSpace, costs: CostVector, z: CotInstance) -> Label:
@@ -311,7 +299,7 @@ class SclSoa:
         return lambda z: SclSoa._predict(vs, costs, z)
 
 
-class RejectAll:
+class RejectAll(_SpaceLearner):
     """Reject every disputed trace as faulty from step one.
 
     With zero location cost this pays only for completeness mistakes,
@@ -323,10 +311,6 @@ class RejectAll:
     mode = "cot"
     mistake_mode = "sequence-level"
 
-    def __init__(self, vclass: VerifierClass, costs: CostVector = _UNIT_COSTS):
-        self.vs = VersionSpace.full(vclass)
-        self.costs = costs
-
     def predict(self, z: CotInstance) -> Label:
         if self.vs.alive == 0:
             raise EmptyVersionSpace("no verifier consistent with history")
@@ -337,11 +321,6 @@ class RejectAll:
 
     def update(self, z: CotInstance, truth: Label) -> None:
         self.vs = self.vs.restrict_cot(z, truth)
-
-    def snapshot(self) -> Callable[[CotInstance], Label]:
-        frozen = RejectAll(self.vs.vclass, self.costs)
-        frozen.vs = self.vs
-        return frozen.predict
 
 
 class ConservativeWrapper:

@@ -177,3 +177,45 @@ def test_deep_search_fails_cleanly(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert code == cli.EXIT_INVALID
     assert "search too deep" in _one_error_line(capsys)
+
+
+def test_duel_rejects_learner_the_adversary_cannot_play(class_files, capsys):
+    for learner in ("majority", "sound-conservative", "reject-all", "river"):
+        assert run_cli("duel", "--class", class_files["complement4"],
+                       "--learner", learner,
+                       "--adversary", "tree") == cli.EXIT_INVALID
+        err = _one_error_line(capsys)
+        assert all(name in err for name in ("sc-soa", "wsc-soa", "scl-soa"))
+    for adversary in ("prop31", "prop32"):
+        for learner in ("sc-soa", "wsc-soa"):
+            assert run_cli("duel", "--class", class_files["singleton3"],
+                           "--learner", learner,
+                           "--adversary", adversary) == cli.EXIT_INVALID
+            assert "prefix learner" in _one_error_line(capsys)
+
+
+def _class_doc(**changes):
+    doc = {"sigma": ["0", "1"], "problems": ["p"], "L": 1,
+           "universe": [[0, [0]], [0, [1]]],
+           "verifiers": [{"id": 0, "rows": [1, 0]}, {"id": 1, "rows": [0, 1]}]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _class_doc(verifiers=[{"id": 0, "rows": [1, 0]}, {"id": 1, "rows": [0]}]),
+    _class_doc(verifiers=[{"id": 0, "rows": [1, 0]}, {"id": 2, "rows": [0, 1]}]),
+    _class_doc(verifiers=[{"id": 0, "rows": [1, 0]}, {"id": 0, "rows": [0, 1]}]),
+    _class_doc(verifiers=[{"id": 0, "rows": [1, 0]}, {"id": True, "rows": [0, 1]}]),
+    _class_doc(fail_token=1.0),
+    _class_doc(fail_token=True),
+], ids=["short-row", "id-gap", "id-repeat", "bool-id", "float-fail-token",
+        "bool-fail-token"])
+def test_dim_rejects_malformed_class_file(tmp_path, capsys, doc):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("dim", "--class", str(path),
+                   "--kind", "ldim") == cli.EXIT_INVALID
+    _one_error_line(capsys)
+    path.write_text(json.dumps(_class_doc()))
+    assert run_cli("dim", "--class", str(path), "--kind", "ldim") == 0

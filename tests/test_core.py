@@ -1,11 +1,13 @@
 """Domain-type behavior: instances, version spaces, mistake taxonomy."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import brute
 from cotverify import families
 from cotverify.core import (
     ALL_CORRECT,
@@ -101,6 +103,38 @@ def test_restrict_cot_partitions_alive():
     for label in vs.cot_labels(z):
         total += vs.restrict_cot(z, label).size
     assert total == vs.size
+
+
+def _labels_by_verifier(vc, z, ids):
+    """{label: mask} from one cot_label_of call per verifier."""
+    groups = {}
+    for i in ids:
+        label = vc.cot_label_of(i, z)
+        groups[label] = groups.get(label, 0) | 1 << i
+    return groups
+
+
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 3),
+       fail_token=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_cot_partition_matches_cot_label_of(seed, L, fail_token):
+    rng = random.Random(seed)
+    vc = brute.random_full_trace_class(rng, max_h=6, L=L)
+    if fail_token:
+        vc = families.with_fail_token(vc)
+    every_label = [fault_at(ell) for ell in range(1, L + 1)] + [ALL_CORRECT]
+    for z in cot_instances(vc):
+        groups = _labels_by_verifier(vc, z, range(len(vc)))
+        assert vc.cot_partition(z) == tuple(sorted(groups.items()))
+        vs = VersionSpace(vc, rng.getrandbits(len(vc)))
+        alive_groups = _labels_by_verifier(vc, z, vs.ids())
+        assert vs.cot_labels(z) == set(alive_groups)
+        for label in every_label:
+            assert vs.restrict_cot(z, label).alive == alive_groups.get(label, 0)
+    z = cot_instances(vc)[0]
+    for steps in (z.steps + (0,), z.steps[:-1]):
+        with pytest.raises(UnknownInstance):
+            vc.cot_partition(CotInstance(0, steps))
 
 
 def test_oracle_matches_tables():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import brute
 from cotverify import dimensions, families, kernels
 from cotverify.core import CostVector, NoWitness, VersionSpace, cot_instances
-from cotverify.kernels import pure
 
 UNIT = CostVector(Fraction(1), Fraction(1), Fraction(0))
 
@@ -140,7 +139,7 @@ def test_dim_results_report_backend():
 def test_stats_report_node_counts():
     rng = random.Random(1)
     vc = brute.random_class(rng)
-    eng = pure.WscEngine(vc.yes_masks, 1, 1)
+    eng = kernels.WscEngine(vc.yes_masks, 1, 1)
     eng.value(VersionSpace.full(vc).alive)
     nodes, hits = eng.stats()
     assert nodes >= 1 and hits >= 0
@@ -226,36 +225,21 @@ def test_sc_bound_is_least_leaf_count_inverse():
 
     for k in range(4):
         for size in range(1, 70):
-            d = pure.sc_bound(size, k)
+            d = kernels.sc_bound(size, k)
             assert least_leaves(k, d) <= size < least_leaves(k, d + 1)
 
 
 def test_wsc_bound_inverts_leaf_recurrence():
     for size in range(1, 70):
-        assert pure.wsc_bound(size, 1, 1) == size.bit_length() - 1
+        assert kernels.wsc_bound(size, 1, 1) == size.bit_length() - 1
         for d in (2, 3, 5):
-            assert pure.wsc_bound(size, d, 1) == (
+            assert kernels.wsc_bound(size, d, 1) == (
                 dimensions.max_weight_for_leaves(size, d))
             # Scaling both costs scales the bound; swapping them changes
             # nothing, because L is symmetric in the two costs.
-            assert pure.wsc_bound(size, 3 * d, 3) == 3 * pure.wsc_bound(size, d, 1)
-            assert pure.wsc_bound(size, 1, d) == pure.wsc_bound(size, d, 1)
-    assert pure.wsc_bound(5, 0, 1) == pure.wsc_bound(5, 1, 0) == float("inf")
-
-
-def test_scl_partitions_match_cot_labels():
-    rng = random.Random(5)
-    classes = [brute.random_full_trace_class(rng, max_h=6, L=3)
-               for _ in range(10)]
-    classes.append(families.with_fail_token(families.singleton_bitstring_class(3)))
-    for vc in classes:
-        parts = dimensions._scl_label_masks(vc)
-        for z, pairs in zip(cot_instances(vc), parts):
-            groups = {}
-            for i in range(len(vc)):
-                code = dimensions._label_code(vc.cot_label_of(i, z))
-                groups[code] = groups.get(code, 0) | (1 << i)
-            assert pairs == sorted(groups.items())
+            assert kernels.wsc_bound(size, 3 * d, 3) == 3 * kernels.wsc_bound(size, d, 1)
+            assert kernels.wsc_bound(size, 1, d) == kernels.wsc_bound(size, d, 1)
+    assert kernels.wsc_bound(5, 0, 1) == kernels.wsc_bound(5, 1, 0) == float("inf")
 
 
 def test_scl_handles_unanimous_instances():

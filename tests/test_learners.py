@@ -4,6 +4,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
+
 import exhaust
 from cotverify import dimensions, families
 from cotverify.core import (
@@ -14,7 +16,6 @@ from cotverify.core import (
     Oracle,
     VersionSpace,
     cot_instances,
-    fault_at,
 )
 from cotverify.learners import (
     ConservativeWrapper,
@@ -159,13 +160,30 @@ def test_conservative_wrapper_snapshot_discipline():
             assert frozen(z) == ALL_CORRECT
 
 
-def test_snapshots_are_frozen():
+@pytest.mark.parametrize("make", [
+    MajorityVote,
+    SoundConservative,
+    RejectAll,
+    lambda vc: ScSoa(vc, 1),
+    lambda vc: WscSoa(vc, CostVector(Fraction(2), Fraction(1), Fraction(0))),
+    lambda vc: SclSoa(vc, CostVector(Fraction(3), Fraction(2), Fraction(1))),
+], ids=["majority", "sound-conservative", "reject-all", "sc-soa", "wsc-soa",
+        "scl-soa"])
+def test_snapshots_are_frozen(make):
     vc = families.indicator_class(3)
-    learner = SoundConservative(vc)
-    z = cot_instances(vc)[0]
+    learner = make(vc)
+    vs = learner.vs
+    if learner.mode == "cot":
+        z = next(z for z in cot_instances(vc) if len(vs.cot_labels(z)) > 1)
+        truths = sorted(vs.cot_labels(z))
+    else:
+        z = next(z for z in vc.universe if 0 < vs.yes_mask(z) < vs.alive)
+        truths = [False, True]
     frozen = learner.snapshot()
     before = frozen(z)
-    learner.update(z, fault_at(1))
+    truth = next(y for y in truths if y != before)
+    learner.update(z, truth)
+    assert learner.predict(z) == truth
     assert frozen(z) == before
 
 
