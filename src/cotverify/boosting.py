@@ -7,14 +7,18 @@ timeout.  Training draws one problem batch to generate conservative
 hypothesis snapshots and a second batch to test and select among them.
 
 Provers are table-driven categorical samplers with exact rational
-weights; alpha-goodness is verified by exhaustive table scan rather than
-assumed.  All randomness flows through explicitly passed generators.
+weights, compiled to integer thresholds so that a draw is one
+``randrange`` and one bisection; alpha-goodness is verified by
+exhaustive table scan rather than assumed.  All randomness flows through
+explicitly passed generators.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -32,16 +36,34 @@ from .learners import ConservativeWrapper
 Verdict = Callable[[PrefixInstance], bool]
 
 
-def _sample_categorical(weights: dict, rng: random.Random):
-    """Exact draw from {outcome: Fraction} weights summing to 1."""
-    denom = math.lcm(*(w.denominator for w in weights.values()))
-    r = rng.randrange(denom)
+def _compile(weights: dict, where) -> tuple[int, list, list]:
+    """Compile {outcome: rational} weights for exact drawing.
+
+    Returns (denom, cumulative integer thresholds, sorted outcomes):
+    outcome i is drawn for r in [thresholds[i-1], thresholds[i]) with r
+    uniform on range(denom).  Raises ValueError, naming where, unless
+    every weight is nonnegative and they sum to 1.
+    """
+    denom = math.lcm(*[w.denominator for w in weights.values()])
+    outcomes = []
+    thresholds = []
     acc = 0
-    for outcome in sorted(weights):
-        acc += int(weights[outcome] * denom)
-        if r < acc:
-            return outcome
-    raise AssertionError("categorical weights do not sum to 1")
+    for outcome, w in sorted(weights.items()):
+        numerator = w.numerator * (denom // w.denominator)
+        if numerator < 0:
+            raise ValueError(f"negative weight at {where}")
+        acc += numerator
+        outcomes.append(outcome)
+        thresholds.append(acc)
+    if acc != denom:
+        raise ValueError(f"weights at {where} do not sum to 1")
+    return denom, thresholds, outcomes
+
+
+def _draw(compiled: tuple[int, list, list], rng: random.Random):
+    """One exact draw from a compiled distribution."""
+    denom, thresholds, outcomes = compiled
+    return outcomes[bisect_right(thresholds, rng.randrange(denom))]
 
 
 @dataclass(frozen=True)
@@ -49,24 +71,23 @@ class Prover:
     """Stochastic next-step generator over exact categorical tables.
 
     table maps (problem id, steps-so-far) to {token id: weight}; weights
-    are rationals summing to 1.
+    are rationals summing to 1.  Compiling the table validates it.
     """
 
     table: dict
     name: str = ""
+    _compiled: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for key, dist in self.table.items():
-            if sum(dist.values()) != 1:
-                raise ValueError(f"weights at {key} do not sum to 1")
-            if any(w < 0 for w in dist.values()):
-                raise ValueError(f"negative weight at {key}")
+        object.__setattr__(self, "_compiled", {
+            key: _compile(dist, key) for key, dist in self.table.items()
+        })
 
     def distribution(self, problem: int, steps: tuple) -> dict:
         return self.table[(problem, tuple(steps))]
 
     def sample(self, problem: int, steps: tuple, rng: random.Random) -> int:
-        return _sample_categorical(self.distribution(problem, steps), rng)
+        return _draw(self._compiled[(problem, tuple(steps))], rng)
 
 
 @dataclass(frozen=True)
@@ -127,8 +148,13 @@ class TestResult(Enum):
     CORRECT = "correct"
 
 
+@functools.lru_cache(maxsize=128)
 def timeout_budget(alpha, k: int, L: int, epsilon_prime) -> int:
-    """ceil((1/alpha) ln(kL/epsilon')), clamped to at least 1."""
+    """ceil((1/alpha) ln(kL/epsilon')), clamped to at least 1.
+
+    Float logarithm: one of the three float steps of the package, with
+    s1_size and s2_size.
+    """
     raw = math.log(float(Fraction(k * L) / Fraction(epsilon_prime)))
     return max(1, math.ceil(raw / float(alpha)))
 
@@ -341,6 +367,7 @@ class BoostedProver:
 
 
 def s1_size(params: BoostParams, m_s: int, m_c: int) -> int:
+    """|S1| = ceil(8 ((M_s + M_c)/epsilon + ln(2/delta))), in floats."""
     return math.ceil(
         8 * (float(Fraction(m_c + m_s) / params.epsilon)
              + math.log(float(2 / params.delta)))
@@ -348,6 +375,8 @@ def s1_size(params: BoostParams, m_s: int, m_c: int) -> int:
 
 
 def s2_size(params: BoostParams, m_s: int, m_c: int) -> int:
+    """|S2| = ceil(C (1/epsilon) (M/(min(M_s, M_c) + 1)) ln(M/delta)),
+    in floats."""
     total = m_s + m_c
     return math.ceil(
         params.s2_constant
@@ -355,6 +384,40 @@ def s2_size(params: BoostParams, m_s: int, m_c: int) -> int:
         * (total / (min(m_s, m_c) + 1))
         * math.log(total / float(params.delta))
     )
+
+
+def _test_snapshot(
+    h: Verdict,
+    problems: list,
+    prover_set: ProverSet,
+    params: BoostParams,
+    oracle: Oracle,
+    rng: random.Random,
+    limits: tuple[int, int],
+    cap: int,
+) -> tuple[int, int, int, int]:
+    """Test one snapshot on the S2 problems until it passes an error limit.
+
+    Returns (soundness errors, completeness errors, problems tested,
+    oracle calls).  Once either error count exceeds its limit the
+    snapshot cannot qualify, so the remaining problems are skipped.
+    """
+    sound_limit, complete_limit = limits
+    sound = complete = tested = total_calls = 0
+    for x in problems:
+        result, calls = test_hypothesis(x, prover_set, params, h, oracle, rng)
+        assert calls <= cap, "oracle budget exceeded while testing"
+        total_calls += calls
+        tested += 1
+        if result is TestResult.SOUNDNESS_MISTAKE:
+            sound += 1
+            if sound > sound_limit:
+                break
+        elif result is TestResult.COMPLETENESS_MISTAKE:
+            complete += 1
+            if complete > complete_limit:
+                break
+    return sound, complete, tested, total_calls
 
 
 def build_vhp(
@@ -369,9 +432,13 @@ def build_vhp(
     """Train, test, and select a hypothesis verifier; package the prover.
 
     mistake_bounds = (M_s, M_c) are the learner's declared soundness and
-    completeness budgets; M_s + M_c must be at least 1.  Raises
-    NoHypothesisQualified when no snapshot meets both empirical error
-    thresholds.
+    completeness budgets; M_s + M_c must be at least 1.  The first
+    snapshot whose soundness and completeness error rates on S2 stay
+    within 3/4 epsilon M_s/M and 3/4 epsilon M_c/M is selected.  Every
+    snapshot is tested on the same S2 problems, each with its own
+    generator seeded from rng after training, and a snapshot's testing
+    stops once it can no longer qualify.  Raises NoHypothesisQualified
+    when no snapshot qualifies.
     """
     m_s, m_c = mistake_bounds
     if m_s + m_c < 1:
@@ -380,16 +447,19 @@ def build_vhp(
         learner = ConservativeWrapper(learner)
     vclass = oracle.vclass
     cap = oracle_call_cap(params, prover_set, vclass.L)
+    problem_dist = _compile(D, "D")
 
     n1 = s1_size(params, m_s, m_c)
     train_calls = 0
+    outcomes = {result.value: 0 for result in ProcessResult}
     for _ in range(n1):
-        x = _sample_categorical(D, rng)
-        _result, calls = process_example(
+        x = _draw(problem_dist, rng)
+        result, calls = process_example(
             x, prover_set, params, learner, oracle, rng
         )
         assert calls <= cap, "oracle budget exceeded while training"
         train_calls += calls
+        outcomes[result.value] += 1
 
     produced = learner.snapshots[1:]
     if not produced:
@@ -397,31 +467,23 @@ def build_vhp(
     assert len(learner.snapshots) - 1 <= m_s + m_c, "too many snapshots"
 
     n2 = s2_size(params, m_s, m_c)
-    sound_errs = [0] * len(produced)
-    complete_errs = [0] * len(produced)
-    test_calls = 0
-    for _ in range(n2):
-        x = _sample_categorical(D, rng)
-        for i, h in enumerate(produced):
-            result, calls = test_hypothesis(
-                x, prover_set, params, h, oracle, rng
-            )
-            assert calls <= cap, "oracle budget exceeded while testing"
-            test_calls += calls
-            if result is TestResult.SOUNDNESS_MISTAKE:
-                sound_errs[i] += 1
-            elif result is TestResult.COMPLETENESS_MISTAKE:
-                complete_errs[i] += 1
-
-    total = m_s + m_c
-    sound_cap = Fraction(3, 4) * params.epsilon * Fraction(m_s, total)
-    complete_cap = Fraction(3, 4) * params.epsilon * Fraction(m_c, total)
-    selected = None
-    for i in range(len(produced)):
-        if (Fraction(sound_errs[i], n2) <= sound_cap
-                and Fraction(complete_errs[i], n2) <= complete_cap):
-            selected = i
-            break
+    # Error counts a snapshot may reach and still qualify.
+    limits = tuple(
+        math.floor(Fraction(3, 4) * eps * n2)
+        for eps in derived_epsilons(params, m_s, m_c)
+    )
+    streams = [random.Random(rng.getrandbits(64)) for _ in produced]
+    problems = [_draw(problem_dist, rng) for _ in range(n2)]
+    sound_errs, complete_errs, tested, test_calls = map(list, zip(*(
+        _test_snapshot(h, problems, prover_set, params, oracle, stream,
+                       limits, cap)
+        for h, stream in zip(produced, streams)
+    )))
+    selected = next(
+        (i for i in range(len(produced))
+         if sound_errs[i] <= limits[0] and complete_errs[i] <= limits[1]),
+        None,
+    )
     if selected is None:
         raise NoHypothesisQualified(
             f"none of {len(produced)} hypotheses met the error thresholds"
@@ -433,10 +495,12 @@ def build_vhp(
         "snapshots": len(produced),
         "selected": selected,
         "train_oracle_calls": train_calls,
-        "test_oracle_calls": test_calls,
+        "test_oracle_calls": sum(test_calls),
         "oracle_call_cap_per_example": cap,
         "sound_errors": sound_errs,
         "complete_errors": complete_errs,
+        "tested": tested,
+        "train_outcomes": outcomes,
     }
     return BoostedProver(produced[selected], prover_set, params, vclass, report)
 
@@ -449,9 +513,10 @@ def evaluate_vhp(
     rng: random.Random,
 ) -> dict:
     """Empirical abstain/incorrect/correct rates as exact fractions."""
+    problem_dist = _compile(D, "D")
     abstain = incorrect = correct = 0
     for _ in range(n_trials):
-        x = _sample_categorical(D, rng)
+        x = _draw(problem_dist, rng)
         outcome = vhp.generate(x, rng)
         if not outcome.is_proof:
             abstain += 1

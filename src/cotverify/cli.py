@@ -24,6 +24,8 @@ from typing import Optional
 from . import adversary, boosting, dimensions, families, learners, reductions
 from .core import (
     ALL_CORRECT,
+    CapExceeded,
+    ClassMismatch,
     CostVector,
     CotInstance,
     CotVerifyError,
@@ -265,6 +267,26 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _require_family(vc, build, adversary: str, family: str) -> None:
+    """The prop31 and prop32 adversaries play on their own family; require
+    the class file to be that family, up to the order of its verifiers."""
+    try:
+        ref = build()
+    except CapExceeded as e:
+        raise ClassMismatch(
+            f"the {adversary} adversary plays on {family}, "
+            f"which these parameters cannot build: {e}") from None
+    same = (
+        (vc.L, vc.fail_token, vc.universe) == (ref.L, ref.fail_token, ref.universe)
+        and sorted(v.rows for v in vc.verifiers)
+        == sorted(v.rows for v in ref.verifiers)
+    )
+    if not same:
+        raise ClassMismatch(
+            f"the {adversary} adversary plays on {family}; "
+            "the class file is a different class")
+
+
 def cmd_duel(args) -> int:
     if args.adversary == "tree" and args.learner not in (
             "sc-soa", "wsc-soa", "scl-soa"):
@@ -303,6 +325,9 @@ def cmd_duel(args) -> int:
         elif achieved > bound:
             verdict = "bound-violated"
     elif args.adversary == "prop31":
+        _require_family(
+            vc, lambda: families.singleton_bitstring_class(vc.L), "prop31",
+            f"the singleton class (--family singleton --L {vc.L})")
         transcript = adversary.prop31_adversary(vc.L, learner)
         bound = Fraction(vc.L // 2)
         achieved = Fraction(transcript.total_mistakes)
@@ -310,6 +335,9 @@ def cmd_duel(args) -> int:
             verdict = "bound-violated"
     else:
         n = len(vc)
+        _require_family(
+            vc, lambda: families.complement_class(n, vc.L), "prop32",
+            f"the complement class (--family complement --n {n} --L {vc.L})")
         transcript = adversary.prop32_adversary(n, learner, vc.L)
         bound = Fraction(n - 1)
         achieved = Fraction(transcript.completeness_mistakes)

@@ -194,6 +194,52 @@ def test_duel_rejects_learner_the_adversary_cannot_play(class_files, capsys):
             assert "prefix learner" in _one_error_line(capsys)
 
 
+def test_duel_requires_the_adversary_family(tmp_path, capsys):
+    paths = {}
+    for name, args in {
+        "indicator6": ["--family", "indicator", "--n", "6"],
+        "complement12": ["--family", "complement", "--n", "12", "--L", "4"],
+        "singleton4": ["--family", "singleton", "--L", "4"],
+    }.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        assert run_cli("families", *args, "--out", paths[name]) == 0
+    capsys.readouterr()
+    for name in ("indicator6", "complement12"):
+        assert run_cli("duel", "--class", paths[name], "--learner", "majority",
+                       "--adversary", "prop31") == cli.EXIT_INVALID
+        assert "--family singleton --L" in _one_error_line(capsys)
+    for name in ("indicator6", "singleton4"):
+        assert run_cli("duel", "--class", paths[name],
+                       "--learner", "sound-conservative",
+                       "--adversary", "prop32") == cli.EXIT_INVALID
+        assert "--family complement --n" in _one_error_line(capsys)
+    # The matching families still play, whatever the order of the verifiers.
+    doc = json.loads(open(paths["singleton4"]).read())
+    rows = [v["rows"] for v in doc["verifiers"]]
+    doc["verifiers"] = [{"id": i, "rows": r} for i, r in enumerate(rows[::-1])]
+    shuffled = tmp_path / "singleton4_reversed.json"
+    shuffled.write_text(json.dumps(doc))
+    for path in (paths["singleton4"], str(shuffled)):
+        assert run_cli("duel", "--class", path, "--learner", "majority",
+                       "--adversary", "prop31") == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "bound-met"
+    assert run_cli("duel", "--class", paths["complement12"],
+                   "--learner", "sound-conservative",
+                   "--adversary", "prop32") == 0
+    assert json.loads(capsys.readouterr().out)["achieved"] == "11/1"
+    # Classes whose family cannot be built at all.
+    for adversary, doc in (
+        ("prop31", _class_doc(L=17)),
+        ("prop32", _class_doc(verifiers=[{"id": i, "rows": [1, 1]}
+                                         for i in range(3)])),
+    ):
+        path = tmp_path / "unbuildable.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("duel", "--class", str(path), "--learner", "majority",
+                       "--adversary", adversary) == cli.EXIT_INVALID
+        assert "cannot build" in _one_error_line(capsys)
+
+
 def _class_doc(**changes):
     doc = {"sigma": ["0", "1"], "problems": ["p"], "L": 1,
            "universe": [[0, [0]], [0, [1]]],
