@@ -36,10 +36,26 @@ def _learner_space(learner) -> VersionSpace:
     return VersionSpace.full(learner.vclass)
 
 
-def _min_path(node: Optional[TreeNode]) -> Fraction:
-    if node is None:
-        return Fraction(0)
-    return min(e.weight + _min_path(e.child) for e in node.edges)
+def _min_paths(root: Optional[TreeNode]) -> dict[int, Fraction]:
+    """Every subtree's minimum root-to-leaf path weight, keyed by the id of
+    its root node, from one iterative post-order pass."""
+    below: dict[int, Fraction] = {}
+    stack = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if node is None or id(node) in below:
+            continue
+        if children_done:
+            below[id(node)] = min(_remainder(e, below) for e in node.edges)
+        else:
+            stack.append((node, True))
+            stack.extend((e.child, False) for e in node.edges)
+    return below
+
+
+def _remainder(edge, below: dict[int, Fraction]) -> Fraction:
+    """The edge's weight plus the minimum path weight below its child."""
+    return edge.weight + (0 if edge.child is None else below[id(edge.child)])
 
 
 def play_tree_adversary(tree: MistakeTree, learner) -> Transcript:
@@ -51,13 +67,14 @@ def play_tree_adversary(tree: MistakeTree, learner) -> Transcript:
     space = _learner_space(learner)
     if not verify_shattered(tree, space):
         raise TreeNotShattered("tree is not shattered by the class")
+    below = _min_paths(tree.root)
     transcript = Transcript()
     node = tree.root
     while node is not None:
         pred = learner.predict(node.instance)
         contradicting = [e for e in node.edges if e.label != pred]
         # Descend toward the costlier guaranteed remainder.
-        edge = max(contradicting, key=lambda e: e.weight + _min_path(e.child))
+        edge = max(contradicting, key=lambda e: _remainder(e, below))
         truth = edge.label
         if tree.kind == "SCL":
             kind = classify_mistake(pred, truth, "sequence-level")

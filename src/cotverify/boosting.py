@@ -11,6 +11,15 @@ weights, compiled to integer thresholds so that a draw is one
 ``randrange`` and one bisection; alpha-goodness is verified by
 exhaustive table scan rather than assumed.  All randomness flows through
 explicitly passed generators.
+
+The walkers advance a node of the class's prefix trie
+(``VerifierClass.prefix_trie``) rather than building a prefix per
+candidate: each candidate is looked up by (node, token), and verdicts,
+learners and the labeling oracle see the universe's own
+``PrefixInstance``.  A prefix outside the universe is built afresh, as
+before.  ``build_vhp`` wraps every frozen snapshot in a ``CachedVerdict``
+that asks the snapshot once per universe index, so S2 testing and the
+boosted prover pay for each distinct prefix once.
 """
 
 from __future__ import annotations
@@ -219,18 +228,84 @@ def gamma_of(good_problems: frozenset, D: dict) -> Fraction:
     )
 
 
-class _Recorder:
-    """Wrap a verdict function, remembering every rejected prefix."""
+class CachedVerdict:
+    """A frozen snapshot's verdicts, cached per universe index.
 
-    def __init__(self, verdict: Verdict):
-        self.verdict = verdict
-        self.rejections: list[PrefixInstance] = []
+    Exact because ``snapshot()`` promises a frozen predictor: its verdict
+    on a prefix never changes, so ``at(i)`` asks the snapshot once per
+    distinct universe index and then reads the list.  Called on a
+    PrefixInstance it asks the snapshot directly; the walkers do that
+    only for prefixes outside the universe.  Never wrap a live learner.
+    """
+
+    def __init__(self, snapshot: Verdict, vclass: VerifierClass):
+        self.snapshot = snapshot
+        self.universe = vclass.universe
+        self.verdicts: list[Optional[bool]] = [None] * len(self.universe)
 
     def __call__(self, z: PrefixInstance) -> bool:
-        v = self.verdict(z)
-        if not v:
-            self.rejections.append(z)
+        return self.snapshot(z)
+
+    def at(self, i: int) -> bool:
+        v = self.verdicts[i]
+        if v is None:
+            v = self.verdicts[i] = self.snapshot(self.universe[i])
         return v
+
+
+def _prefixes(vclass: VerifierClass, trace: CotInstance):
+    """The prefixes of trace, shortest first: the universe's own objects,
+    and new PrefixInstances once the trace leaves the prefix trie."""
+    child, universe = vclass.prefix_trie(), vclass.universe
+    node = -1 - trace.problem
+    for ell, tok in enumerate(trace.steps, 1):
+        node = child.get((node, tok))
+        yield trace.prefix(ell) if node is None else universe[node]
+
+
+def _walk(
+    x: int,
+    prover_set: ProverSet,
+    params: BoostParams,
+    h: Verdict,
+    vclass: VerifierClass,
+    rng: random.Random,
+) -> tuple[ProofOutcome, list[PrefixInstance]]:
+    """weak_to_strong, also returning every rejected candidate in order,
+    repeats included."""
+    budget = timeout_budget(
+        prover_set.alpha, prover_set.k, vclass.L, params.epsilon_prime
+    )
+    child, universe = vclass.prefix_trie(), vclass.universe
+    if isinstance(h, CachedVerdict):
+        verdict_at = h.at
+    else:
+        def verdict_at(i):
+            return h(universe[i])
+    rejected = []
+    node, steps = -1 - x, ()
+    for _ell in range(vclass.L):
+        advanced = False
+        for _attempt in range(budget):
+            for prover in prover_set.provers:
+                tok = prover.sample(x, steps, rng)
+                i = child.get((node, tok))
+                if i is None:
+                    z = PrefixInstance(x, steps + (tok,))
+                    accepted = h(z)
+                else:
+                    z = universe[i]
+                    accepted = verdict_at(i)
+                if accepted:
+                    node, steps = i, z.steps
+                    advanced = True
+                    break
+                rejected.append(z)
+            if advanced:
+                break
+        if not advanced:
+            return I_DONT_KNOW, rejected
+    return ProofOutcome(CotInstance(x, steps)), rejected
 
 
 def weak_to_strong(
@@ -245,27 +320,10 @@ def weak_to_strong(
 
     At each step, sample one candidate from every prover, take the first
     accepted one, and retry up to the timeout budget; any step that
-    exhausts its budget aborts the whole attempt.
+    exhausts its budget aborts the whole attempt.  h sees the universe's
+    own PrefixInstance for every candidate in the universe.
     """
-    budget = timeout_budget(
-        prover_set.alpha, prover_set.k, vclass.L, params.epsilon_prime
-    )
-    steps: tuple = ()
-    for _ell in range(vclass.L):
-        advanced = False
-        for _attempt in range(budget):
-            for prover in prover_set.provers:
-                tok = prover.sample(x, steps, rng)
-                z = PrefixInstance(x, steps + (tok,))
-                if h(z):
-                    steps = z.steps
-                    advanced = True
-                    break
-            if advanced:
-                break
-        if not advanced:
-            return I_DONT_KNOW
-    return ProofOutcome(CotInstance(x, steps))
+    return _walk(x, prover_set, params, h, vclass, rng)[0]
 
 
 def process_example(
@@ -286,15 +344,17 @@ def process_example(
     budget = timeout_budget(
         prover_set.alpha, prover_set.k, vclass.L, params.epsilon_prime
     )
+    child, universe = vclass.prefix_trie(), vclass.universe
     calls = 0
-    steps: tuple = ()
+    node, steps = -1 - x, ()
+    path = []
     for _ell in range(vclass.L):
-        advanced = False
+        accepted = None
         for _attempt in range(budget):
-            accepted = None
             for prover in prover_set.provers:
                 tok = prover.sample(x, steps, rng)
-                z = PrefixInstance(x, steps + (tok,))
+                i = child.get((node, tok))
+                z = PrefixInstance(x, steps + (tok,)) if i is None else universe[i]
                 v = learner.predict(z)
                 y = oracle.prefix_label(z)
                 calls += 1
@@ -302,16 +362,15 @@ def process_example(
                     learner.update(z, y)
                     return ProcessResult.MADE_MISTAKE, calls
                 if v and accepted is None:
-                    accepted = z
+                    accepted, next_node = z, i
             if accepted is not None:
-                steps = accepted.steps
-                advanced = True
                 break
-        if not advanced:
+        if accepted is None:
             return ProcessResult.TIMEOUT, calls
+        path.append(accepted)
+        node, steps = next_node, accepted.steps
     # Proof found; re-check the whole trace for soundness slips.
-    for ell in range(1, vclass.L + 1):
-        z = PrefixInstance(x, steps[:ell])
+    for z in path:
         y = oracle.prefix_label(z)
         calls += 1
         if not y:
@@ -332,18 +391,18 @@ def test_hypothesis(
 
     A returned proof with any oracle-rejected prefix is a soundness
     mistake; an abstention after rejecting any truly correct prefix is a
-    completeness mistake.
+    completeness mistake.  The oracle is asked about the rejected
+    candidates in order, repeats included.
     """
-    recorder = _Recorder(h)
-    outcome = weak_to_strong(x, prover_set, params, recorder, oracle.vclass, rng)
+    outcome, rejected = _walk(x, prover_set, params, h, oracle.vclass, rng)
     calls = 0
     if outcome.is_proof:
-        for ell in range(1, oracle.vclass.L + 1):
+        for z in _prefixes(oracle.vclass, outcome.trace):
             calls += 1
-            if not oracle.prefix_label(outcome.trace.prefix(ell)):
+            if not oracle.prefix_label(z):
                 return TestResult.SOUNDNESS_MISTAKE, calls
     else:
-        for z in recorder.rejections:
+        for z in rejected:
             calls += 1
             if oracle.prefix_label(z):
                 return TestResult.COMPLETENESS_MISTAKE, calls
@@ -437,8 +496,9 @@ def build_vhp(
     within 3/4 epsilon M_s/M and 3/4 epsilon M_c/M is selected.  Every
     snapshot is tested on the same S2 problems, each with its own
     generator seeded from rng after training, and a snapshot's testing
-    stops once it can no longer qualify.  Raises NoHypothesisQualified
-    when no snapshot qualifies.
+    stops once it can no longer qualify.  Every snapshot is wrapped in a
+    CachedVerdict, and the selected one goes into the BoostedProver
+    wrapped.  Raises NoHypothesisQualified when no snapshot qualifies.
     """
     m_s, m_c = mistake_bounds
     if m_s + m_c < 1:
@@ -461,9 +521,8 @@ def build_vhp(
         train_calls += calls
         outcomes[result.value] += 1
 
-    produced = learner.snapshots[1:]
-    if not produced:
-        produced = [learner.snapshots[0]]
+    produced = [CachedVerdict(h, vclass)
+                for h in learner.snapshots[1:] or learner.snapshots[:1]]
     assert len(learner.snapshots) - 1 <= m_s + m_c, "too many snapshots"
 
     n2 = s2_size(params, m_s, m_c)
@@ -522,8 +581,8 @@ def evaluate_vhp(
             abstain += 1
             continue
         good = all(
-            oracle.prefix_label(outcome.trace.prefix(ell))
-            for ell in range(1, vhp.vclass.L + 1)
+            oracle.prefix_label(z)
+            for z in _prefixes(vhp.vclass, outcome.trace)
         )
         if good:
             correct += 1

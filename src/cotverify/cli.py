@@ -14,6 +14,7 @@ derived as Random(f"{seed}:{stream-name}").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -429,7 +430,9 @@ def cmd_boost(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cotverify",
         description="Online chain-of-thought verification toolkit",

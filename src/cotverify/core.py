@@ -181,6 +181,7 @@ class VerifierClass:
         self._validate()
         self._index = {z: i for i, z in enumerate(self.universe)}
         self._partitions: dict[CotInstance, tuple[tuple[Label, int], ...]] = {}
+        self._trie: Optional[dict[tuple[int, int], int]] = None
         # yes_masks[i] = bitmask over verifier ids accepting universe[i]
         self.yes_masks = [0] * len(self.universe)
         for v in self.verifiers:
@@ -251,6 +252,22 @@ class VerifierClass:
 
     def __contains__(self, z: PrefixInstance) -> bool:
         return z in self._index
+
+    def prefix_trie(self) -> dict[tuple[int, int], int]:
+        """The universe as a prefix trie: child[(node, token)] is the index
+        of the prefix extending node's prefix by token, where node is a
+        universe index or -1 - problem for the empty prefix.  A prefix
+        whose parent is outside the universe has no entry.  Built on first
+        use and cached."""
+        if self._trie is None:
+            child = {}
+            for i, z in enumerate(self.universe):
+                parent = (-1 - z.problem if len(z.steps) == 1 else
+                          self._index.get(PrefixInstance(z.problem, z.steps[:-1])))
+                if parent is not None:
+                    child[(parent, z.steps[-1])] = i
+            self._trie = child
+        return self._trie
 
     def accepts(self, verifier_id: int, z: PrefixInstance) -> PrefixLabel:
         return self.verifiers[verifier_id].rows[self.index_of(z)]

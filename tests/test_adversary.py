@@ -16,6 +16,7 @@ from cotverify.core import (
 from cotverify.dimensions import MistakeTree, TreeEdge, TreeNode
 from cotverify.learners import (
     MajorityVote,
+    RejectAll,
     ScSoa,
     SclSoa,
     SoundConservative,
@@ -69,6 +70,66 @@ def test_tree_adversary_forces_min_path_vs_any_learner():
     tree = dimensions.extract_witness(vs, "plain")
     t = adversary.play_tree_adversary(tree, ScSoa(vc, 1))
     assert t.total_mistakes >= dimensions.ldim_value(vs)
+
+
+def _reference_play(tree, learner):
+    """The tree walk with a recursive minimum path recomputed per edge:
+    (instance, prediction, truth) per round."""
+
+    def min_path(node):
+        if node is None:
+            return Fraction(0)
+        return min(e.weight + min_path(e.child) for e in node.edges)
+
+    rounds = []
+    node = tree.root
+    while node is not None:
+        pred = learner.predict(node.instance)
+        edge = max((e for e in node.edges if e.label != pred),
+                   key=lambda e: e.weight + min_path(e.child))
+        rounds.append((node.instance, pred, edge.label))
+        learner.update(node.instance, edge.label)
+        node = edge.child
+    return rounds
+
+
+@pytest.mark.parametrize("costs", [(3, 2, 1), (1, 1, 1), (2, 1, 0)])
+def test_tree_adversary_takes_the_first_costliest_edge(corpus, costs):
+    """On sequence-level witnesses, where a prediction can leave several
+    contradicting edges, the adversary picks the same edge as the
+    recursive reference: the first whose weight plus the minimum path
+    weight below it is largest."""
+    costs = CostVector(*map(Fraction, costs))
+    choices = 0
+    for vc in corpus.values():
+        vs = VersionSpace.full(vc)
+        if dimensions.scl_value(vs, costs) == 0:
+            continue
+        tree = dimensions.extract_witness(vs, "SCL", costs=costs)
+        for make in (RejectAll, MajorityVote, SoundConservative,
+                     lambda vc: SclSoa(vc, costs)):
+            t = adversary.play_tree_adversary(tree, make(vc))
+            reference = _reference_play(tree, make(vc))
+            assert [(r.instance, r.prediction, r.truth)
+                    for r in t.rounds] == reference
+            node = tree.root
+            for _instance, pred, truth in reference:
+                edge = next(e for e in node.edges if e.label == truth)
+                choices += sum(e.label != pred for e in node.edges) > 1
+                node = edge.child
+    assert choices > 0
+
+
+def test_tree_adversary_on_a_deep_path():
+    """complement_class(n) has a path-shaped witness of depth n - 1.  The
+    walk computes every subtree's minimum once, without recursion; a
+    recursive minimum per edge at every step is quadratic here and needs
+    two frames per level."""
+    vc = families.complement_class(400, 9)
+    vs = VersionSpace.full(vc)
+    tree = dimensions.extract_witness(vs, "SC", k=0)
+    t = adversary.play_tree_adversary(tree, ScSoa(vc, 0))
+    assert t.total_mistakes == dimensions.sc_value(vs, 0) == 399
 
 
 def test_prop31_floor_half_L():

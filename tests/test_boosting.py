@@ -1,6 +1,8 @@
 """Prover boosting: exact sampling, goodness verification, training
-dynamics, S2 early elimination, and one full pipeline run."""
+dynamics, S2 early elimination, the indexed walkers and the snapshot
+cache, and one full pipeline run."""
 
+import collections
 import itertools
 import json
 import math
@@ -12,8 +14,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scenario
-from cotverify import boosting, dimensions
-from cotverify.core import NoHypothesisQualified, Oracle, VersionSpace
+from cotverify import boosting, cli, dimensions
+from cotverify.core import (
+    CotInstance,
+    NoHypothesisQualified,
+    Oracle,
+    PrefixInstance,
+    Problem,
+    StepToken,
+    UnknownInstance,
+    VerifierClass,
+    VersionSpace,
+)
 from cotverify.learners import ConservativeWrapper, ScSoa
 
 
@@ -427,6 +439,240 @@ def test_no_snapshot_qualifies_when_all_are_eliminated(
         assert sound == sound_limit + 1 and complete <= complete_limit
     else:
         assert sound == 0 and complete == complete_limit + 1
+
+
+# -- the indexed walkers and the snapshot cache -----------------------------
+
+
+def _reference_walk(x, prover_set, params, h, vclass, rng):
+    """weak_to_strong on PrefixInstance objects, a new prefix per
+    candidate; returns the outcome and every rejected candidate."""
+    budget = boosting.timeout_budget(
+        prover_set.alpha, prover_set.k, vclass.L, params.epsilon_prime)
+    rejected = []
+    steps = ()
+    for _ell in range(vclass.L):
+        advanced = False
+        for _attempt in range(budget):
+            for prover in prover_set.provers:
+                z = PrefixInstance(x, steps + (prover.sample(x, steps, rng),))
+                if h(z):
+                    steps = z.steps
+                    advanced = True
+                    break
+                rejected.append(z)
+            if advanced:
+                break
+        if not advanced:
+            return boosting.I_DONT_KNOW, rejected
+    return boosting.ProofOutcome(CotInstance(x, steps)), rejected
+
+
+def _reference_test(x, prover_set, params, h, oracle, rng):
+    """test_hypothesis on the reference walk."""
+    outcome, rejected = _reference_walk(
+        x, prover_set, params, h, oracle.vclass, rng)
+    calls = 0
+    if outcome.is_proof:
+        for z in outcome.trace.prefixes():
+            calls += 1
+            if not oracle.prefix_label(z):
+                return boosting.TestResult.SOUNDNESS_MISTAKE, calls
+    else:
+        for z in rejected:
+            calls += 1
+            if oracle.prefix_label(z):
+                return boosting.TestResult.COMPLETENESS_MISTAKE, calls
+    return boosting.TestResult.CORRECT, calls
+
+
+def _reference_process(x, prover_set, params, learner, oracle, rng):
+    """process_example on PrefixInstance objects."""
+    budget = boosting.timeout_budget(
+        prover_set.alpha, prover_set.k, oracle.vclass.L, params.epsilon_prime)
+    calls = 0
+    steps = ()
+    for _ell in range(oracle.vclass.L):
+        accepted = None
+        for _attempt in range(budget):
+            for prover in prover_set.provers:
+                z = PrefixInstance(x, steps + (prover.sample(x, steps, rng),))
+                v, y = learner.predict(z), oracle.prefix_label(z)
+                calls += 1
+                if v != y:
+                    learner.update(z, y)
+                    return boosting.ProcessResult.MADE_MISTAKE, calls
+                if v and accepted is None:
+                    accepted = z
+            if accepted is not None:
+                break
+        if accepted is None:
+            return boosting.ProcessResult.TIMEOUT, calls
+        steps = accepted.steps
+    for z in CotInstance(x, steps).prefixes():
+        calls += 1
+        if not oracle.prefix_label(z):
+            learner.update(z, False)
+            return boosting.ProcessResult.MADE_MISTAKE, calls
+    return boosting.ProcessResult.FULL_PROOF, calls
+
+
+def _random_prover_set(seed):
+    """Two provers over tokens {0, 1} on every scenario prefix, with
+    random rational weights (some zero)."""
+    rnd = random.Random(seed)
+    provers = []
+    for _ in range(2):
+        table = {}
+        for p in range(scenario.N_PROBLEMS):
+            for ell in range(scenario.L):
+                for steps in itertools.product((0, 1), repeat=ell):
+                    a, b = rnd.randint(0, 3), rnd.randint(0, 3)
+                    if a + b == 0:
+                        a = 1
+                    table[(p, steps)] = {0: Fraction(a, a + b),
+                                         1: Fraction(b, a + b)}
+        provers.append(boosting.Prover(table))
+    return boosting.ProverSet(tuple(provers), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("kind", ["cached-snapshot", "snapshot", "oracle"])
+@given(tables=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+       x=st.integers(0, scenario.N_PROBLEMS - 1),
+       alive=st.integers(0, 255), k=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_indexed_walkers_equal_the_prefix_walkers(
+        setup, kind, tables, seed, x, alive, k):
+    """The indexed weak_to_strong, test_hypothesis and process_example give
+    the reference walkers' outcomes, rejections, oracle calls, learner
+    state and generator state, and hand out the universe's own prefixes."""
+    vc, oracle, params = setup["vclass"], setup["oracle"], setup["params"]
+    prover_set = _random_prover_set(tables)
+
+    def learner():
+        learner = ScSoa(vc, k)
+        learner.vs = VersionSpace(vc, alive | 1 << scenario.TARGET)
+        return learner
+
+    h = oracle.prefix_label if kind == "oracle" else learner().snapshot()
+    indexed = boosting.CachedVerdict(h, vc) if kind == "cached-snapshot" else h
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    outcome, rejected = boosting._walk(x, prover_set, params, indexed, vc, rng)
+    assert (outcome, rejected) == _reference_walk(
+        x, prover_set, params, h, vc, ref_rng)
+    assert all(z is vc.universe[vc.index_of(z)] for z in rejected)
+    assert boosting.weak_to_strong(
+        x, prover_set, params, indexed, vc, rng) == _reference_walk(
+        x, prover_set, params, h, vc, ref_rng)[0]
+    assert boosting.test_hypothesis(
+        x, prover_set, params, indexed, oracle, rng) == _reference_test(
+        x, prover_set, params, h, oracle, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+    trained, ref_trained = learner(), learner()
+    assert boosting.process_example(
+        x, prover_set, params, trained, oracle, rng) == _reference_process(
+        x, prover_set, params, ref_trained, oracle, ref_rng)
+    assert (trained.vs.alive, trained.k) == (ref_trained.vs.alive,
+                                             ref_trained.k)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+class _CountingVerdict:
+    """A verdict that counts its calls per prefix."""
+
+    def __init__(self, verdict):
+        self.verdict = verdict
+        self.calls = collections.Counter()
+
+    def __call__(self, z):
+        self.calls[z] += 1
+        return self.verdict(z)
+
+
+def test_cached_verdicts_ask_each_prefix_once(setup, monkeypatch):
+    """build_vhp wraps every snapshot in a CachedVerdict, which asks the
+    snapshot at most once per universe prefix through S2 testing and the
+    boosted prover, however often the walks meet the prefix."""
+    oracle, vc = setup["oracle"], setup["vclass"]
+    counters = [_CountingVerdict(_lax(oracle, 2)),
+                _CountingVerdict(_lax(oracle, 3)),
+                _CountingVerdict(oracle.prefix_label)]
+    learner = ConservativeWrapper(_FixedSnapshot(oracle, False))
+    learner.snapshots += counters
+    candidates = [0]
+    original = boosting.Prover.sample
+
+    def counting_sample(self, *args):
+        candidates[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(boosting.Prover, "sample", counting_sample)
+    vhp = boosting.build_vhp(
+        setup["prover_set"], setup["D"], setup["params"], learner, oracle,
+        (2, 2), random.Random("cache:build"))
+    assert isinstance(vhp.verifier, boosting.CachedVerdict)
+    assert vhp.verifier.snapshot is counters[vhp.report["selected"]]
+    boosting.evaluate_vhp(vhp, setup["D"], 200, oracle,
+                          random.Random("cache:eval"))
+    asked = sum(sum(c.calls.values()) for c in counters)
+    for c in counters:
+        assert max(c.calls.values()) == 1
+        assert all(z in vc for z in c.calls)
+    assert asked <= 3 * len(vc.universe) < candidates[0]
+
+
+def test_off_universe_prefixes(setup):
+    """A candidate outside the universe is a new PrefixInstance: a frozen
+    ScSoa snapshot, cached or not, raises UnknownInstance on it, and a
+    verdict that accepts it walks on exactly as the reference walker."""
+    vc, oracle, params = setup["vclass"], setup["oracle"], setup["params"]
+    table = {(0, (2,) + (0,) * ell): {0: Fraction(1)} for ell in range(3)}
+    table[(0, ())] = {2: Fraction(1)}
+    stray = boosting.ProverSet((boosting.Prover(table),), Fraction(1, 2))
+    snapshot = ScSoa(vc, 0).snapshot()
+    for h in (snapshot, boosting.CachedVerdict(snapshot, vc)):
+        with pytest.raises(UnknownInstance):
+            boosting.weak_to_strong(0, stray, params, h, vc, random.Random(1))
+        with pytest.raises(UnknownInstance):
+            boosting.test_hypothesis(0, stray, params, h, oracle,
+                                     random.Random(1))
+
+    # A universe missing (0, (1,)): its child (0, (1, 1)) has no trie
+    # entry, and a walk through (1,) hands the verdict new prefixes.
+    sigma = [StepToken(0), StepToken(1)]
+    gappy = VerifierClass.build(sigma, [Problem(0)], 2, {
+        PrefixInstance(0, (0,)): [True],
+        PrefixInstance(0, (0, 1)): [True],
+        PrefixInstance(0, (1, 1)): [True],
+    })
+    assert gappy._trie is None
+    assert gappy.prefix_trie() == {(-1, 0): 0, (0, 1): 1}
+    ones = boosting.ProverSet((boosting.Prover({
+        (0, ()): {1: Fraction(1)}, (0, (1,)): {1: Fraction(1)}}),),
+        Fraction(1, 2))
+    seen = []
+
+    def accept_all(z):
+        seen.append(z)
+        return True
+
+    outcome = boosting.weak_to_strong(0, ones, params, accept_all, gappy,
+                                      random.Random(2))
+    assert outcome == boosting.ProofOutcome(CotInstance(0, (1, 1)))
+    assert seen == [PrefixInstance(0, (1,)), PrefixInstance(0, (1, 1))]
+    assert seen[1] is not gappy.universe[2]
+
+
+def test_cli_parser_is_built_once(tmp_path, capsys):
+    """The parser is cached per process; a failing call does not spoil the
+    next one."""
+    path = scenario.write_scenario_files(tmp_path)
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["boost", "--scenario", path, "--seed", "x"]) == 2
+    assert cli.main(["boost", "--scenario", path, "--verify-alpha"]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma"] == "3/4"
+    assert cli.main(["boost"]) == 2
+    assert cli.main(["boost", "--scenario", path, "--verify-alpha"]) == 0
 
 
 # -- the float steps --------------------------------------------------------
