@@ -20,6 +20,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import adversary, boosting, dimensions, families, learners, reductions
@@ -129,8 +130,82 @@ def tree_dot(tree) -> str:
     return "\n".join(lines)
 
 
+_END = object()
+
+
+def canonical_json(value) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), written
+    with an explicit stack, so nesting depth is not bound by the
+    recursion limit, and without the generators of json's pure-Python
+    encoder, which json.dumps falls back to whenever indent is given.
+
+    Handles str, int, bool, None, and lists and str-keyed dicts of them;
+    anything else raises TypeError.
+    """
+    chunks = []
+    # One entry per open list or dict: [its items left, whether it is a
+    # dict, its id, the text before its next item, its closing text].
+    stack = []
+    open_ids = set()
+    while True:
+        if isinstance(value, str):
+            chunks.append(encode_basestring_ascii(value))
+        elif value is None:
+            chunks.append("null")
+        elif value is True:
+            chunks.append("true")
+        elif value is False:
+            chunks.append("false")
+        elif isinstance(value, int):
+            chunks.append(int.__repr__(value))
+        elif isinstance(value, (list, dict)):
+            is_dict = isinstance(value, dict)
+            if not value:
+                chunks.append("{}" if is_dict else "[]")
+            elif id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            else:
+                if is_dict:
+                    for key in value:
+                        if not isinstance(key, str):
+                            raise TypeError(
+                                f"keys must be str, not {type(key).__name__}")
+                    items = iter(sorted(value.items()))
+                else:
+                    items = iter(value)
+                open_ids.add(id(value))
+                outer = "\n" + "  " * len(stack)
+                chunks.append("{" if is_dict else "[")
+                stack.append([items, is_dict, id(value), outer + "  ",
+                              outer + ("}" if is_dict else "]")])
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+        # Move to the next value, closing every container that has ended.
+        while stack:
+            top = stack[-1]
+            item = next(top[0], _END)
+            if item is _END:
+                chunks.append(top[4])
+                open_ids.discard(top[2])
+                stack.pop()
+                continue
+            before = top[3]
+            if before[0] == "\n":
+                top[3] = "," + before
+            if top[1]:
+                chunks.append(before + encode_basestring_ascii(item[0]) + ": ")
+                value = item[1]
+            else:
+                chunks.append(before)
+                value = item
+            break
+        else:
+            return "".join(chunks)
+
+
 def emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = canonical_json(report) + "\n"
     if out:
         with open(out, "w") as f:
             f.write(text)
@@ -279,8 +354,7 @@ def _require_family(vc, build, adversary: str, family: str) -> None:
             f"which these parameters cannot build: {e}") from None
     same = (
         (vc.L, vc.fail_token, vc.universe) == (ref.L, ref.fail_token, ref.universe)
-        and sorted(v.rows for v in vc.verifiers)
-        == sorted(v.rows for v in ref.verifiers)
+        and sorted(vc.row_bits()) == sorted(ref.row_bits())
     )
     if not same:
         raise ClassMismatch(

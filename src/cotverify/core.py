@@ -150,17 +150,30 @@ class CotInstance:
 
 @dataclass(frozen=True)
 class Verifier:
-    """One row-per-universe-instance truth table."""
+    """One row-per-universe-instance truth table: a read-only view that
+    VerifierClass.verifiers derives from the class's yes-masks."""
 
     id: int
     rows: tuple[bool, ...]
+
+
+# Byte 0/1 to ASCII "0"/"1", for reading a truth table as a binary numeral.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def column_mask(bits: Iterable[int]) -> int:
+    """The bitmask of a sequence of 0/1 entries (bools or ints): bit j is
+    set iff bits[j] is 1."""
+    return int(b"0" + bytes(bits)[::-1].translate(_DIGITS), 2)
 
 
 class VerifierClass:
     """A finite set of verifiers over a shared enumerated prefix universe.
 
     The universe is kept in canonical order: sorted by (problem id, prefix
-    length, lexicographic steps).  Verifier rows follow universe order.
+    length, lexicographic steps).  The class is stored as one yes-mask per
+    universe instance: bit h of yes_masks[i] is set iff verifier h accepts
+    universe[i].
     """
 
     def __init__(
@@ -169,26 +182,22 @@ class VerifierClass:
         problems: Sequence[Problem],
         L: int,
         universe: Sequence[PrefixInstance],
-        verifiers: Sequence[Verifier],
+        yes_masks: Sequence[int],
+        n_verifiers: int,
         fail_token: Optional[int] = None,
     ):
         self.sigma = tuple(sigma)
         self.problems = tuple(problems)
         self.L = L
         self.universe = tuple(universe)
-        self.verifiers = tuple(verifiers)
+        self.yes_masks = list(yes_masks)
+        self.n_verifiers = n_verifiers
         self.fail_token = fail_token
         self._validate()
         self._index = {z: i for i, z in enumerate(self.universe)}
         self._partitions: dict[CotInstance, tuple[tuple[Label, int], ...]] = {}
         self._trie: Optional[dict[tuple[int, int], int]] = None
-        # yes_masks[i] = bitmask over verifier ids accepting universe[i]
-        self.yes_masks = [0] * len(self.universe)
-        for v in self.verifiers:
-            bit = 1 << v.id
-            for i, accept in enumerate(v.rows):
-                if accept:
-                    self.yes_masks[i] |= bit
+        self._verifiers: Optional[tuple[Verifier, ...]] = None
 
     def _validate(self):
         if self.L < 1:
@@ -203,23 +212,27 @@ class VerifierClass:
             raise SchemaError("problem ids must be 0..|X|-1")
         if self.fail_token is not None and self.fail_token not in token_ids:
             raise SchemaError("fail_token not in alphabet")
+        if not self.universe:
+            raise SchemaError("universe must be nonempty")
         keys = [z.sort_key() for z in self.universe]
-        if keys != sorted(keys):
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            if len(set(keys)) != len(keys):
+                raise SchemaError("duplicate universe instance")
             raise SchemaError("universe not in canonical order")
-        if len(set(self.universe)) != len(self.universe):
-            raise SchemaError("duplicate universe instance")
         for z in self.universe:
             if len(z.steps) > self.L:
                 raise SchemaError(f"prefix longer than L: {z}")
             if z.problem not in problem_ids:
                 raise SchemaError(f"unknown problem in universe: {z}")
-            if any(s not in token_ids for s in z.steps):
+            if not token_ids.issuperset(z.steps):
                 raise SchemaError(f"unknown token in universe: {z}")
-        for i, v in enumerate(self.verifiers):
-            if v.id != i:
-                raise SchemaError("verifier ids must be 0..n-1 in order")
-            if len(v.rows) != len(self.universe):
-                raise SchemaError(f"verifier {v.id} row length mismatch")
+        n = self.n_verifiers
+        if type(n) is not int or n < 0:
+            raise SchemaError("verifier count must be a nonnegative integer")
+        if len(self.yes_masks) != len(self.universe):
+            raise SchemaError("need one yes-mask per universe instance")
+        if min(self.yes_masks) < 0 or max(self.yes_masks) >> n:
+            raise SchemaError(f"yes-mask names a verifier outside 0..{n - 1}")
 
     @classmethod
     def build(
@@ -231,18 +244,52 @@ class VerifierClass:
         fail_token: Optional[int] = None,
     ) -> "VerifierClass":
         """Build from a per-instance column table {z: [h_0(z), h_1(z), ...]}."""
-        universe = sorted(table, key=PrefixInstance.sort_key)
-        columns = [table[z] for z in universe]
-        if len({len(col) for col in columns}) != 1:
+        sizes = {len(column) for column in table.values()}
+        if len(sizes) != 1:
             raise SchemaError("ragged verifier columns")
-        verifiers = [
-            Verifier(i, tuple(map(bool, row)))
-            for i, row in enumerate(zip(*columns))
-        ]
-        return cls(sigma, problems, L, universe, verifiers, fail_token)
+        masks = [(z, column_mask(map(bool, column)))
+                 for z, column in table.items()]
+        return cls.from_masks(sigma, problems, L, masks, sizes.pop(), fail_token)
+
+    @classmethod
+    def from_masks(
+        cls,
+        sigma: Sequence[StepToken],
+        problems: Sequence[Problem],
+        L: int,
+        masks: Iterable[tuple[PrefixInstance, int]],
+        n_verifiers: int,
+        fail_token: Optional[int] = None,
+    ) -> "VerifierClass":
+        """Build from (instance, yes-mask) pairs in any instance order."""
+        pairs = sorted(masks, key=lambda pair: pair[0].sort_key())
+        universe = [z for z, _ in pairs]
+        yes_masks = [m for _, m in pairs]
+        return cls(sigma, problems, L, universe, yes_masks, n_verifiers, fail_token)
+
+    def row_bits(self) -> list[str]:
+        """Each verifier's truth table in universe order, as a string of
+        "0"/"1" characters: one string per verifier id."""
+        n = self.n_verifiers
+        if n == 0:
+            return []
+        width = f"0{n}b"
+        return ["".join(row) for row in
+                zip(*(format(m, width)[::-1] for m in self.yes_masks))]
+
+    @property
+    def verifiers(self) -> tuple[Verifier, ...]:
+        """The verifiers as per-verifier truth tables, derived from the
+        yes-masks on first use and cached."""
+        if self._verifiers is None:
+            self._verifiers = tuple(
+                Verifier(h, tuple(map("1".__eq__, row)))
+                for h, row in enumerate(self.row_bits())
+            )
+        return self._verifiers
 
     def __len__(self):
-        return len(self.verifiers)
+        return self.n_verifiers
 
     def index_of(self, z: PrefixInstance) -> int:
         try:
@@ -270,7 +317,7 @@ class VerifierClass:
         return self._trie
 
     def accepts(self, verifier_id: int, z: PrefixInstance) -> PrefixLabel:
-        return self.verifiers[verifier_id].rows[self.index_of(z)]
+        return self.yes_masks[self.index_of(z)] >> verifier_id & 1 == 1
 
     def cot_label_of(self, verifier_id: int, z: CotInstance) -> Label:
         """First prefix of z the verifier rejects, ALL_CORRECT if none.
@@ -281,9 +328,8 @@ class VerifierClass:
             raise UnknownInstance(
                 f"trace length {len(z.steps)} != L={self.L}"
             )
-        rows = self.verifiers[verifier_id].rows
         for ell in range(1, self.L + 1):
-            if not rows[self.index_of(z.prefix(ell))]:
+            if not self.yes_masks[self.index_of(z.prefix(ell))] >> verifier_id & 1:
                 return fault_at(ell)
         return ALL_CORRECT
 
@@ -315,7 +361,7 @@ class VerifierClass:
         return part
 
     def full_mask(self) -> int:
-        return (1 << len(self.verifiers)) - 1
+        return (1 << self.n_verifiers) - 1
 
     def equal_canonical(self, other: "VerifierClass") -> bool:
         return (
@@ -324,7 +370,8 @@ class VerifierClass:
             and self.L == other.L
             and self.fail_token == other.fail_token
             and self.universe == other.universe
-            and self.verifiers == other.verifiers
+            and self.n_verifiers == other.n_verifiers
+            and self.yes_masks == other.yes_masks
         )
 
 
@@ -390,6 +437,12 @@ class Oracle:
     vclass: VerifierClass
     target: int
 
+    def __post_init__(self):
+        if not 0 <= self.target < len(self.vclass):
+            raise ValueError(
+                f"target must be in 0..{len(self.vclass) - 1}, got {self.target}"
+            )
+
     def prefix_label(self, z: PrefixInstance) -> PrefixLabel:
         return self.vclass.accepts(self.target, z)
 
@@ -398,9 +451,9 @@ class Oracle:
 
     def prefix_correct(self, z: PrefixInstance) -> bool:
         """True iff every step of the prefix is correct (cumulative)."""
-        rows = self.vclass.verifiers[self.target].rows
+        masks, bit = self.vclass.yes_masks, 1 << self.target
         return all(
-            rows[self.vclass.index_of(PrefixInstance(z.problem, z.steps[:i]))]
+            masks[self.vclass.index_of(PrefixInstance(z.problem, z.steps[:i]))] & bit
             for i in range(1, len(z.steps) + 1)
         )
 

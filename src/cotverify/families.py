@@ -20,6 +20,7 @@ from .core import (
     SchemaError,
     StepToken,
     VerifierClass,
+    column_mask,
 )
 
 
@@ -285,21 +286,16 @@ def with_fail_token(vclass: VerifierClass) -> VerifierClass:
         return vclass
     F = len(vclass.sigma)
     sigma = list(vclass.sigma) + [StepToken(F, "F")]
-    n = len(vclass)
-    table = {
-        z: [v.rows[i] for v in vclass.verifiers]
-        for i, z in enumerate(vclass.universe)
-    }
+    masks = list(zip(vclass.universe, vclass.yes_masks))
     for z in vclass.universe:
         for pad in range(1, vclass.L - len(z.steps) + 1):
-            padded = PrefixInstance(z.problem, z.steps + (F,) * pad)
-            table[padded] = [False] * n
+            masks.append((PrefixInstance(z.problem, z.steps + (F,) * pad), 0))
     # F as a first step is likewise rejected by everyone.
     for p in vclass.problems:
         for pad in range(1, vclass.L + 1):
-            table[PrefixInstance(p.id, (F,) * pad)] = [False] * n
-    return VerifierClass.build(
-        sigma, vclass.problems, vclass.L, table, fail_token=F
+            masks.append((PrefixInstance(p.id, (F,) * pad), 0))
+    return VerifierClass.from_masks(
+        sigma, vclass.problems, vclass.L, masks, len(vclass), fail_token=F
     )
 
 
@@ -310,8 +306,8 @@ def save_class(vclass: VerifierClass, path) -> None:
         "L": vclass.L,
         "universe": [[z.problem, list(z.steps)] for z in vclass.universe],
         "verifiers": [
-            {"id": v.id, "rows": [int(b) for b in v.rows]}
-            for v in vclass.verifiers
+            {"id": h, "rows": list(map(int, row))}
+            for h, row in enumerate(vclass.row_bits())
         ],
     }
     if vclass.fail_token is not None:
@@ -321,42 +317,71 @@ def save_class(vclass: VerifierClass, path) -> None:
         f.write("\n")
 
 
+def _all_ints(values) -> bool:
+    """Whether every value is a JSON integer: an int, and not one of the
+    bools that json gives for true and false."""
+    return set(map(type, values)) <= {int}
+
+
 def load_class(path, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
+    """Read a class file, the JSON object that save_class writes.
+
+    Every number in it must be a JSON integer and every row entry 0 or 1;
+    anything else raises SchemaError rather than being coerced.
+    """
     try:
         with open(path) as f:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from None
+    if type(doc) is not dict:
+        raise SchemaError(f"{path}: a class file holds one JSON object")
     for key in ("sigma", "problems", "L", "universe", "verifiers"):
         if key not in doc:
             raise SchemaError(f"{path}: missing field {key!r}")
-    sigma = [StepToken(i, str(s)) for i, s in enumerate(doc["sigma"])]
-    problems = [Problem(i, str(p)) for i, p in enumerate(doc["problems"])]
-    try:
-        universe = [
-            PrefixInstance(int(p), tuple(int(s) for s in steps))
-            for p, steps in doc["universe"]
-        ]
-        verifiers_doc = sorted(doc["verifiers"], key=lambda v: v["id"])
-        ids = [v["id"] for v in verifiers_doc]
-        rows = [v["rows"] for v in verifiers_doc]
-    except (TypeError, ValueError, KeyError) as e:
-        raise SchemaError(f"{path}: malformed field: {e}") from None
-    if any(type(i) is not int for i in ids) or ids != list(range(len(ids))):
-        raise SchemaError(f"{path}: verifier ids must be exactly 0..n-1")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(universe):
-            raise SchemaError(f"{path}: verifier {i} row length mismatch")
-        if any(x not in (0, 1) for x in row):
-            raise SchemaError(f"{path}: non-binary row entry")
-    fail_token = doc.get("fail_token")
+    for key in ("sigma", "problems", "universe", "verifiers"):
+        if type(doc[key]) is not list:
+            raise SchemaError(f"{path}: {key!r} must be a list")
+    L, fail_token = doc["L"], doc.get("fail_token")
+    if type(L) is not int:
+        raise SchemaError(f"{path}: L must be an integer")
     if fail_token is not None and type(fail_token) is not int:
         raise SchemaError(f"{path}: fail_token must be an integer")
-    _check_caps(len(rows), len(universe), caps)
-    if len(set(universe)) != len(universe):
-        raise SchemaError(f"{path}: duplicate universe instance")
-    columns = list(zip(*rows)) or [()] * len(universe)  # no verifiers
-    table = dict(zip(universe, columns))
-    return VerifierClass.build(
-        sigma, problems, int(doc["L"]), table, fail_token=fail_token
+    universe_doc, verifiers_doc = doc["universe"], doc["verifiers"]
+    n, size = len(verifiers_doc), len(universe_doc)
+    _check_caps(n, size, caps)
+
+    entries_ok = (size > 0 and set(map(type, universe_doc)) == {list}
+                  and set(map(len, universe_doc)) == {2})
+    if entries_ok:
+        problem_ids, steps = zip(*universe_doc)
+        entries_ok = (_all_ints(problem_ids)
+                      and set(map(type, steps)) == {list}
+                      and min(map(len, steps)) > 0
+                      and _all_ints(itertools.chain.from_iterable(steps)))
+    if not entries_ok:
+        raise SchemaError(
+            f"{path}: the universe must be a nonempty list of "
+            "[problem, [step, ...]] entries, all integers, each with a step")
+    universe = list(map(PrefixInstance, problem_ids, map(tuple, steps)))
+
+    rows = [None] * n
+    for v in verifiers_doc:
+        if type(v) is not dict or "id" not in v or "rows" not in v:
+            raise SchemaError(
+                f'{path}: a verifier must be an object {{"id": ..., "rows": [...]}}')
+        i, row = v["id"], v["rows"]
+        if type(i) is not int or not 0 <= i < n or rows[i] is not None:
+            raise SchemaError(f"{path}: verifier ids must be exactly 0..n-1")
+        if type(row) is not list or len(row) != size:
+            raise SchemaError(f"{path}: verifier {i} row length mismatch")
+        if not _all_ints(row) or not set(row) <= {0, 1}:
+            raise SchemaError(f"{path}: non-binary row entry")
+        rows[i] = row
+    masks = map(column_mask, zip(*rows)) if n else [0] * size
+
+    return VerifierClass.from_masks(
+        [StepToken(i, str(s)) for i, s in enumerate(doc["sigma"])],
+        [Problem(i, str(p)) for i, p in enumerate(doc["problems"])],
+        L, zip(universe, masks), n, fail_token,
     )

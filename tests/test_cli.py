@@ -1,9 +1,11 @@
 """CLI subcommands: reports, exit codes, and byte-level determinism."""
 
+import copy
 import json
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scenario
 from cotverify import cli, families
@@ -137,6 +139,16 @@ def test_boost_deterministic_reports(tmp_path):
     assert report["bounds_hold"]["incorrect_zero"] is True
 
 
+def test_boost_rejects_scenario_target_out_of_range(tmp_path, capsys):
+    doc = json.loads(open(scenario.write_scenario_files(tmp_path)).read())
+    for target in (-1, 8, 99):
+        path = tmp_path / "bad_target.json"
+        path.write_text(json.dumps(dict(doc, target=target)))
+        assert run_cli("boost", "--scenario", str(path),
+                       "--verify-alpha") == cli.EXIT_INVALID
+        assert "0..7" in _one_error_line(capsys)
+
+
 def _one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -248,6 +260,10 @@ def _class_doc(**changes):
     return doc
 
 
+def _rows(*rows):
+    return [{"id": i, "rows": list(row)} for i, row in enumerate(rows)]
+
+
 @pytest.mark.parametrize("doc", [
     _class_doc(verifiers=[{"id": 0, "rows": [1, 0]}, {"id": 1, "rows": [0]}]),
     _class_doc(verifiers=[{"id": 0, "rows": [1, 0]}, {"id": 2, "rows": [0, 1]}]),
@@ -255,8 +271,35 @@ def _class_doc(**changes):
     _class_doc(verifiers=[{"id": 0, "rows": [1, 0]}, {"id": True, "rows": [0, 1]}]),
     _class_doc(fail_token=1.0),
     _class_doc(fail_token=True),
+    5,
+    [_class_doc()],
+    _class_doc(sigma=5),
+    _class_doc(sigma=None),
+    _class_doc(problems=5),
+    _class_doc(problems=None),
+    _class_doc(universe=5),
+    _class_doc(verifiers=None),
+    _class_doc(L=2.9),
+    _class_doc(L=True),
+    _class_doc(L="1"),
+    _class_doc(universe=[[0, [0.5]], [0, [1]]]),
+    _class_doc(universe=[[0, [0]], [0, [True]]]),
+    _class_doc(universe=[["0", [0]], [0, [1]]]),
+    _class_doc(universe=[[0, []], [0, [1]]]),
+    _class_doc(universe=[[0, [0], 1], [0, [1]]]),
+    _class_doc(universe=[[0, [0]], [0, [0]]]),
+    _class_doc(universe=[], verifiers=_rows([], [])),
+    _class_doc(verifiers=_rows([True, 0], [0, 1])),
+    _class_doc(verifiers=_rows([1.0, 0], [0, 1])),
+    _class_doc(verifiers=_rows([2, 0], [0, 1])),
+    _class_doc(verifiers=[[1, 0], [0, 1]]),
 ], ids=["short-row", "id-gap", "id-repeat", "bool-id", "float-fail-token",
-        "bool-fail-token"])
+        "bool-fail-token", "top-level-number", "top-level-list",
+        "number-sigma", "null-sigma", "number-problems", "null-problems",
+        "number-universe", "null-verifiers", "float-L", "bool-L", "string-L",
+        "float-step", "bool-step", "string-problem-id", "empty-steps",
+        "triple-entry", "duplicate-instance", "empty-universe", "bool-row-entry",
+        "float-row-entry", "row-entry-2", "verifier-not-object"])
 def test_dim_rejects_malformed_class_file(tmp_path, capsys, doc):
     path = tmp_path / "class.json"
     path.write_text(json.dumps(doc))
@@ -265,3 +308,132 @@ def test_dim_rejects_malformed_class_file(tmp_path, capsys, doc):
     _one_error_line(capsys)
     path.write_text(json.dumps(_class_doc()))
     assert run_cli("dim", "--class", str(path), "--kind", "ldim") == 0
+
+
+def _json_paths(doc, prefix=()):
+    """The path of every field and list entry in a JSON document."""
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _has(container, key) -> bool:
+    if isinstance(container, dict):
+        return key in container
+    return (isinstance(container, list) and isinstance(key, int)
+            and key < len(container))
+
+
+_FUZZ_DOC = _class_doc(L=2, universe=[[0, [0]], [0, [0, 1]], [0, [1]]],
+                       verifiers=_rows([1, 0, 1], [1, 1, 0], [0, 0, 1]),
+                       fail_token=1)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+# An edit is (path, None), which deletes the field at path, or
+# (path, [value]), which sets it to value.
+@given(edits=st.lists(
+    st.tuples(st.sampled_from(list(_json_paths(_FUZZ_DOC))),
+              st.none() | _JSON_VALUES.map(lambda v: [v])),
+    min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_dim_class_file_contract_under_fuzzing(tmp_path, capsys, edits):
+    """Deleting or replacing fields of a valid class file either leaves a
+    class that dim solves, or is refused with one error line."""
+    doc = copy.deepcopy(_FUZZ_DOC)
+    for path, replacement in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key] if _has(parent, key) else None
+        if _has(parent, path[-1]):
+            if replacement is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = replacement[0]
+        elif isinstance(parent, dict) and replacement is not None:
+            parent[path[-1]] = replacement[0]
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("dim", "--class", str(path), "--kind", "ldim", "--witness")
+    assert code in (0, cli.EXIT_INVALID)
+    if code == 0:
+        assert capsys.readouterr().err == ""
+    else:
+        _one_error_line(capsys)
+
+
+# The report writer.
+
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**100, 2**100) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@given(value=_REPORT_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_matches_json_dumps(value):
+    assert cli.canonical_json(value) == json.dumps(value, sort_keys=True,
+                                                   indent=2)
+
+
+def test_canonical_json_edge_values():
+    for value in ({}, [], "", "\x00\x1f\u2028\U0001f600\"\\", -2**200,
+                  {"b": [{}, [], None], "a": {"": True, "\u00e9": False}}):
+        assert cli.canonical_json(value) == json.dumps(
+            value, sort_keys=True, indent=2)
+    for value in (1.5, (1, 2), {1: "a"}, [{"a": {1, 2}}], b"x"):
+        with pytest.raises(TypeError):
+            cli.canonical_json(value)
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError):
+        cli.canonical_json(loop)
+
+
+def test_canonical_json_has_no_depth_limit():
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    text = cli.canonical_json(deep)
+    assert text.startswith("[\n  [\n    [") and text.count("[") == 5001
+
+
+def test_every_subcommand_report_is_json_dumps_text(class_files, tmp_path,
+                                                    capsys):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps([[0, [0, 0, 0, 0]], [0, [0, 1, 0, 0]]]))
+    scenario_path = scenario.write_scenario_files(tmp_path)
+    texts = []
+    assert run_cli("families", "--family", "complement", "--n", "4",
+                   "--L", "2", "--out", str(tmp_path / "c.json")) == 0
+    texts.append(capsys.readouterr().out)
+    for argv in (
+        ["dim", "--class", class_files["indicator4"], "--kind", "scl",
+         "--gamma-s", "3", "--gamma-c", "2", "--gamma-l", "1", "--witness"],
+        ["run", "--class", class_files["indicator4"], "--learner",
+         "sound-conservative", "--target", "1", "--sequence", str(seq)],
+        ["duel", "--class", class_files["indicator4"], "--learner", "sc-soa",
+         "--adversary", "tree", "--k", "1"],
+        ["duel", "--class", class_files["complement4"], "--learner",
+         "sound-conservative", "--adversary", "prop32"],
+        ["boost", "--scenario", scenario_path, "--seed", "7",
+         "--trials", "50"],
+    ):
+        out = tmp_path / "report.json"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        texts.append(out.read_text())
+    for text in texts:
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=2) + "\n"

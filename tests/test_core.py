@@ -63,7 +63,36 @@ def test_universe_canonical_order_enforced():
     universe = list(good.universe)
     universe[0], universe[1] = universe[1], universe[0]
     with pytest.raises(SchemaError):
-        VerifierClass(sigma, good.problems, 2, universe, good.verifiers)
+        VerifierClass(sigma, good.problems, 2, universe, good.yes_masks,
+                      len(good))
+
+
+def test_constructor_checks_the_yes_masks():
+    good = families.singleton_bitstring_class(2)
+    args = (good.sigma, good.problems, 2, good.universe)
+    with pytest.raises(SchemaError):
+        VerifierClass(*args, good.yes_masks[:-1], len(good))
+    with pytest.raises(SchemaError):
+        VerifierClass(*args, good.yes_masks, len(good) - 1)
+    with pytest.raises(SchemaError):
+        VerifierClass(*args, [-1] + good.yes_masks[1:], len(good))
+    assert VerifierClass(*args, good.yes_masks, len(good)).equal_canonical(good)
+
+
+def test_rows_view_agrees_with_accepts(corpus):
+    for name, vc in corpus.items():
+        assert len(vc.verifiers) == len(vc), name
+        for h, v in enumerate(vc.verifiers):
+            assert v.id == h
+            assert v.rows == tuple(vc.accepts(h, z) for z in vc.universe), name
+        assert vc.verifiers is vc.verifiers
+
+
+def test_oracle_target_must_name_a_verifier():
+    vc = families.singleton_bitstring_class(2)
+    for target in (-1, len(vc)):
+        with pytest.raises(ValueError):
+            Oracle(vc, target)
 
 
 def test_unknown_instance_raises():

@@ -1,6 +1,7 @@
 """Generator invariants and class-file round trips."""
 
 import json
+import random
 
 import pytest
 
@@ -110,6 +111,56 @@ def test_save_load_round_trip(tmp_path, corpus):
         families.save_class(vc, path)
         loaded = families.load_class(path)
         assert loaded.equal_canonical(vc), name
+
+
+def _reference_masks(doc):
+    """Each universe instance's yes-mask, set one row entry at a time."""
+    masks = [0] * len(doc["universe"])
+    for v in doc["verifiers"]:
+        for i, accept in enumerate(v["rows"]):
+            if accept:
+                masks[i] |= 1 << v["id"]
+    return {(p, tuple(steps)): m for (p, steps), m in zip(doc["universe"], masks)}
+
+
+def test_load_class_masks_match_the_rows(tmp_path, corpus):
+    rng = random.Random(0)
+    for name, vc in corpus.items():
+        path = tmp_path / f"{name}.json"
+        families.save_class(vc, path)
+        doc = json.loads(path.read_text())
+        # Verifiers listed out of id order, and the universe shuffled.
+        rng.shuffle(doc["verifiers"])
+        order = list(range(len(doc["universe"])))
+        rng.shuffle(order)
+        doc["universe"] = [doc["universe"][i] for i in order]
+        for v in doc["verifiers"]:
+            v["rows"] = [v["rows"][i] for i in order]
+        path.write_text(json.dumps(doc))
+        loaded = families.load_class(path)
+        got = {(z.problem, z.steps): m
+               for z, m in zip(loaded.universe, loaded.yes_masks)}
+        assert got == _reference_masks(doc), name
+        assert loaded.equal_canonical(vc), name
+
+
+def test_save_load_round_trip_seven_families(tmp_path):
+    river = families.river_edges()[:10]
+    for name, vc in {
+        "singleton5": families.singleton_bitstring_class(5),
+        "singleton6": families.singleton_bitstring_class(6),
+        "indicator6": families.indicator_class(6),
+        "complement12": families.complement_class(12, 4),
+        "conjunction4": families.conjunction_class(4),
+        "river10": families.river_crossing_class(river, 8),
+        "failtoken4": families.with_fail_token(
+            families.singleton_bitstring_class(4)),
+    }.items():
+        path = tmp_path / f"{name}.json"
+        families.save_class(vc, path)
+        loaded = families.load_class(path)
+        assert loaded.equal_canonical(vc), name
+        assert loaded.verifiers == vc.verifiers, name
 
 
 def test_load_rejects_malformed(tmp_path):
