@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -301,12 +302,17 @@ def _make_learner(name: str, vc, args):
     raise CotVerifyError(f"unknown learner: {name}")
 
 
-def _load_sequence(path: str, mode: str):
+def _load_sequence(path: str, vc, mode: str):
+    """Read a sequence file: each entry a full trace of the class (mode
+    "cot") or a prefix of at most L steps (mode "prefix"), of the class's
+    problems and tokens."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, list):
         raise CotVerifyError("sequence file must hold a JSON list")
     cls = CotInstance if mode == "cot" else PrefixInstance
+    lengths = range(vc.L, vc.L + 1) if mode == "cot" else range(1, vc.L + 1)
+    problems, tokens = range(len(vc.problems)), range(len(vc.sigma))
     out = []
     for entry in doc:
         if not (isinstance(entry, list) and len(entry) == 2
@@ -316,7 +322,15 @@ def _load_sequence(path: str, mode: str):
                 f"sequence entry must be [problem, [steps...]] of integers, "
                 f"got {json.dumps(entry)}"
             )
-        out.append(cls(entry[0], tuple(entry[1])))
+        problem, steps = entry
+        if problem not in problems or len(steps) not in lengths or not all(
+                s in tokens for s in steps):
+            what = "a full trace" if mode == "cot" else "a prefix"
+            raise CotVerifyError(
+                f"sequence entry {json.dumps(entry)} is not {what} of the "
+                f"class: {len(vc.problems)} problems, {len(vc.sigma)} tokens, "
+                f"L={vc.L}")
+        out.append(cls(problem, tuple(steps)))
     return out
 
 
@@ -327,12 +341,22 @@ def cmd_run(args) -> int:
             f"--target must be in 0..{len(vc) - 1}, got {args.target}"
         )
     learner = _make_learner(args.learner, vc, args)
+    if args.via_prefix and args.via_cot:
+        raise CotVerifyError("--via-prefix and --via-cot exclude each other")
     if args.via_prefix:
+        if learner.mode != "prefix":
+            raise CotVerifyError(
+                f"--via-prefix wraps a prefix learner; {args.learner} "
+                "already locates faults in full traces")
         learner = reductions.cot_from_prefix(learner)
     elif args.via_cot:
+        if learner.mode != "cot":
+            raise CotVerifyError(
+                f"--via-cot wraps a chain-of-thought learner; {args.learner} "
+                "is a prefix learner")
         learner = reductions.prefix_from_cot(learner, vc)
     oracle = Oracle(vc, args.target)
-    sequence = _load_sequence(args.sequence, learner.mode)
+    sequence = _load_sequence(args.sequence, vc, learner.mode)
     transcript = learners.run_online(learner, oracle, sequence)
     report = {
         "learner": args.learner,
@@ -430,32 +454,93 @@ def cmd_duel(args) -> int:
     return EXIT_VIOLATION if verdict == "bound-violated" else EXIT_OK
 
 
+# Scenario numbers: integers are JSON integers (not bools), integer keys
+# of JSON objects their canonical decimal text, and rationals a JSON
+# integer or a string such as "1/2" or "0.25" (no exponent, so a short
+# string cannot name a huge number).
+_INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def _load_scenario(path: str):
+    """Read a boosting scenario file strictly: a missing field or a value
+    of the wrong type raises CotVerifyError; nothing is coerced."""
+
+    def fail(what: str) -> CotVerifyError:
+        return CotVerifyError(f"{path}: {what}")
+
+    def integer(value, what: str) -> int:
+        if type(value) is not int:
+            raise fail(f"{what} must be an integer")
+        return value
+
+    def integer_key(key: str, what: str) -> int:
+        if not _INT_TEXT.fullmatch(key):
+            raise fail(f"{what} must be an integer, got {key!r}")
+        return int(key)
+
+    def rational(value, what: str) -> Fraction:
+        if type(value) is int:
+            return Fraction(value)
+        if type(value) is str and _RATIONAL_TEXT.fullmatch(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise fail(f'{what} must be an integer or a rational string like "1/2"')
+
     with open(path) as f:
         doc = json.load(f)
+    if type(doc) is not dict:
+        raise fail("a scenario file holds one JSON object")
+    for key in ("class", "target", "alpha", "provers", "D", "epsilon",
+                "epsilon_prime", "delta"):
+        if key not in doc:
+            raise fail(f"missing field {key!r}")
+    if type(doc["class"]) is not str:
+        raise fail("class must be a file name")
     vc = families.load_class(doc["class"])
-    provers = []
-    for pd in doc["provers"]:
-        table = {
-            (int(p), tuple(int(s) for s in steps)): {
-                int(tok): Fraction(w) for tok, w in dist.items()
-            }
-            for p, steps, dist in pd["table"]
-        }
-        provers.append(boosting.Prover(table, pd.get("name", "")))
-    prover_set = boosting.ProverSet(
-        tuple(provers), Fraction(doc["alpha"])
-    )
-    D = {int(p): Fraction(w) for p, w in doc["D"].items()}
+    target = integer(doc["target"], "target")
+    k = integer(doc.get("k", 0), "k")
+    if k < 0:
+        raise fail(f"k must be >= 0, got {k}")
+    if type(doc["D"]) is not dict:
+        raise fail("D must be an object")
+    D = {integer_key(p, "a D problem"): rational(w, "a D weight")
+         for p, w in doc["D"].items()}
+    if any(w < 0 for w in D.values()):
+        raise fail("D weights must be nonnegative")
     if sum(D.values()) != 1:
         raise CotVerifyError("problem distribution does not sum to 1")
+    if type(doc["provers"]) is not list:
+        raise fail("provers must be a list")
+    provers = []
+    for pd in doc["provers"]:
+        if not (type(pd) is dict and type(pd.get("table")) is list
+                and type(pd.get("name", "")) is str):
+            raise fail('a prover must be an object {"name": "...", "table": [...]}')
+        table = {}
+        for row in pd["table"]:
+            if not (type(row) is list and len(row) == 3
+                    and type(row[1]) is list and type(row[2]) is dict):
+                raise fail("a prover table row must be "
+                           "[problem, [step, ...], {token: weight}]")
+            p, steps, dist = row
+            key = (integer(p, "a prover-table problem"),
+                   tuple(integer(s, "a prover-table step") for s in steps))
+            if key in table:
+                raise fail(f"repeated prover-table row for {row[:2]}")
+            table[key] = {integer_key(tok, "a prover-table token"):
+                          rational(w, "a prover-table weight")
+                          for tok, w in dist.items()}
+        provers.append(boosting.Prover(table, pd.get("name", "")))
+    prover_set = boosting.ProverSet(tuple(provers),
+                                    rational(doc["alpha"], "alpha"))
     params = boosting.BoostParams(
-        Fraction(doc["epsilon"]),
-        Fraction(doc["epsilon_prime"]),
-        Fraction(doc["delta"]),
-        int(doc.get("s2_constant", 32)),
+        *(rational(doc[key], key) for key in ("epsilon", "epsilon_prime", "delta")),
+        integer(doc.get("s2_constant", 32), "s2_constant"),
     )
-    return vc, prover_set, D, params, int(doc["target"]), int(doc.get("k", 0))
+    return vc, prover_set, D, params, target, k
 
 
 def cmd_boost(args) -> int:

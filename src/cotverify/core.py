@@ -196,6 +196,7 @@ class VerifierClass:
         self._validate()
         self._index = {z: i for i, z in enumerate(self.universe)}
         self._partitions: dict[CotInstance, tuple[tuple[Label, int], ...]] = {}
+        self._prefix_masks: dict[CotInstance, tuple[int, ...]] = {}
         self._trie: Optional[dict[tuple[int, int], int]] = None
         self._verifiers: Optional[tuple[Verifier, ...]] = None
 
@@ -333,6 +334,28 @@ class VerifierClass:
                 return fault_at(ell)
         return ALL_CORRECT
 
+    def prefix_masks(self, z: CotInstance) -> tuple[int, ...]:
+        """The yes-masks of z's prefixes, shortest first, up to the first
+        prefix outside the universe: a caller that reads further calls
+        read_past.  Cached per trace."""
+        masks = self._prefix_masks.get(z)
+        if masks is None:
+            out = []
+            for ell in range(1, len(z.steps) + 1):
+                i = self._index.get(z.prefix(ell))
+                if i is None:
+                    break
+                out.append(self.yes_masks[i])
+            masks = self._prefix_masks[z] = tuple(out)
+        return masks
+
+    def read_past(self, z: CotInstance, masks: tuple[int, ...]) -> None:
+        """Read the prefix of z after its prefix_masks, as a walk over z's
+        prefixes does: raise UnknownInstance, as index_of does, if z has
+        one."""
+        if len(masks) < len(z.steps):
+            self.index_of(z.prefix(len(masks) + 1))
+
     def cot_partition(self, z: CotInstance) -> tuple[tuple[Label, int], ...]:
         """The verifiers grouped by derived label on z: (label, mask) pairs
         in label order, one per label some verifier derives.  Cached per
@@ -348,14 +371,15 @@ class VerifierClass:
         # rejecters of each prefix off the verifiers that accepted so far.
         groups = []
         accepted = self.full_mask()
-        for ell in range(1, self.L + 1):
+        masks = self.prefix_masks(z)
+        for ell, yes in enumerate(masks, 1):
             if not accepted:
                 break
-            yes = self.yes_masks[self.index_of(z.prefix(ell))]
             if accepted & ~yes:
                 groups.append((fault_at(ell), accepted & ~yes))
             accepted &= yes
         if accepted:
+            self.read_past(z, masks)
             groups.append((ALL_CORRECT, accepted))
         part = self._partitions[z] = tuple(groups)
         return part
@@ -447,7 +471,19 @@ class Oracle:
         return self.vclass.accepts(self.target, z)
 
     def cot_label(self, z: CotInstance) -> Label:
-        return self.vclass.cot_label_of(self.target, z)
+        """The target's first rejected prefix of z, as cot_label_of, read
+        from the class's cached prefix masks."""
+        vclass, target = self.vclass, self.target
+        if len(z.steps) != vclass.L:
+            raise UnknownInstance(
+                f"trace length {len(z.steps)} != L={vclass.L}"
+            )
+        masks = vclass.prefix_masks(z)
+        for ell, yes in enumerate(masks, 1):
+            if not yes >> target & 1:
+                return ell
+        vclass.read_past(z, masks)
+        return ALL_CORRECT
 
     def prefix_correct(self, z: PrefixInstance) -> bool:
         """True iff every step of the prefix is correct (cumulative)."""
@@ -498,6 +534,11 @@ def classify_prefix_mistake(
     return MistakeKind.SOUNDNESS if prediction == YES else MistakeKind.COMPLETENESS
 
 
+# The cost of a round without a mistake; Fractions are immutable, so one
+# shared zero serves every transcript.
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class CostVector:
     """Exact rational mistake costs (gamma_l only used sequence-level)."""
@@ -520,12 +561,15 @@ class CostVector:
             )
 
     def of(self, kind: MistakeKind) -> Fraction:
-        return {
-            MistakeKind.NONE: Fraction(0),
-            MistakeKind.SOUNDNESS: self.gamma_s,
-            MistakeKind.COMPLETENESS: self.gamma_c,
-            MistakeKind.LOCATION: self.gamma_l,
-        }[kind]
+        if kind is MistakeKind.NONE:
+            return _ZERO
+        if kind is MistakeKind.SOUNDNESS:
+            return self.gamma_s
+        if kind is MistakeKind.COMPLETENESS:
+            return self.gamma_c
+        if kind is MistakeKind.LOCATION:
+            return self.gamma_l
+        raise KeyError(kind)
 
 
 @dataclass(frozen=True)

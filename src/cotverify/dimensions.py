@@ -19,6 +19,7 @@ be extracted for any positive value and independently re-verified.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -98,9 +99,11 @@ def _sc_engine(vclass: VerifierClass):
     return _cached(vclass, "sc", lambda: kernels.sc_engine(vclass.yes_masks))
 
 
-def _scale(*costs: Fraction) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=256)
+def integer_costs(*costs: Fraction) -> tuple[int, ...]:
     """The costs as integers over their least common denominator, followed
-    by that denominator."""
+    by that denominator.  Cached per cost tuple: the weighted learners ask
+    for it on every prediction."""
     scale = math.lcm(*(c.denominator for c in costs))
     return (*(int(c * scale) for c in costs), scale)
 
@@ -147,14 +150,14 @@ def sc_value(vs: VersionSpace, k: int) -> int:
 
 
 def wsc_value(vs: VersionSpace, costs: CostVector) -> Fraction:
-    ws, wc, scale = _scale(costs.gamma_s, costs.gamma_c)
+    ws, wc, scale = integer_costs(costs.gamma_s, costs.gamma_c)
     raw = _wsc_engine(vs.vclass, ws, wc).value(vs.alive)
     return Fraction(raw, scale)
 
 
 def scl_value(vs: VersionSpace, costs: CostVector) -> Fraction:
     costs.require_ordered()
-    ws, wc, wl, scale = _scale(costs.gamma_s, costs.gamma_c, costs.gamma_l)
+    ws, wc, wl, scale = integer_costs(costs.gamma_s, costs.gamma_c, costs.gamma_l)
     raw = _scl_engine(vs.vclass, ws, wc, wl).value(vs.alive)
     return Fraction(raw, scale)
 
@@ -175,7 +178,7 @@ def sc_ldim(vs: VersionSpace, k: int, witness: bool = True) -> DimResult:
 
 
 def wsc_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimResult:
-    ws, wc, _ = _scale(costs.gamma_s, costs.gamma_c)
+    ws, wc, _ = integer_costs(costs.gamma_s, costs.gamma_c)
     value, stats = _query(_wsc_engine(vs.vclass, ws, wc),
                           lambda: wsc_value(vs, costs))
     tree = _extract_wsc(vs, costs) if witness and value > 0 else None
@@ -183,7 +186,7 @@ def wsc_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimRe
 
 
 def scl_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimResult:
-    ws, wc, wl, _ = _scale(costs.gamma_s, costs.gamma_c, costs.gamma_l)
+    ws, wc, wl, _ = integer_costs(costs.gamma_s, costs.gamma_c, costs.gamma_l)
     value, stats = _query(_scl_engine(vs.vclass, ws, wc, wl),
                           lambda: scl_value(vs, costs))
     tree = _extract_scl(vs, costs) if witness and value > 0 else None
@@ -243,7 +246,7 @@ def _extract_plain(vs: VersionSpace) -> MistakeTree:
 
 
 def _extract_wsc(vs: VersionSpace, costs: CostVector) -> MistakeTree:
-    ws, wc, _ = _scale(costs.gamma_s, costs.gamma_c)
+    ws, wc, _ = integer_costs(costs.gamma_s, costs.gamma_c)
     eng = _wsc_engine(vs.vclass, ws, wc)
     moves = _weighted_moves(vs.vclass, eng, ws, wc,
                             costs.gamma_s, costs.gamma_c)
@@ -272,7 +275,7 @@ def _extract_sc(vs: VersionSpace, k: int) -> MistakeTree:
 
 def _extract_scl(vs: VersionSpace, costs: CostVector) -> MistakeTree:
     costs.require_ordered()
-    ws, wc, wl, _ = _scale(costs.gamma_s, costs.gamma_c, costs.gamma_l)
+    ws, wc, wl, _ = integer_costs(costs.gamma_s, costs.gamma_c, costs.gamma_l)
     eng = _scl_engine(vs.vclass, ws, wc, wl)
     traces = cot_instances(vs.vclass)
     partitions = _scl_label_masks(vs.vclass)

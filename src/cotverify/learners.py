@@ -62,13 +62,15 @@ class MajorityVote(_SpaceLearner):
     mistake_mode = "prefix-level"
 
     def predict(self, z: CotInstance) -> Label:
-        if self.vs.alive == 0:
+        alive, vclass = self.vs.alive, self.vs.vclass
+        if alive == 0:
             raise EmptyVersionSpace("no verifier consistent with history")
-        half = self.vs.size / 2
-        for ell in range(1, len(z.steps) + 1):
-            accepters = self.vs.yes_mask(z.prefix(ell)).bit_count()
-            if accepters <= half:
-                return fault_at(ell)
+        half = alive.bit_count() / 2
+        masks = vclass.prefix_masks(z)
+        for ell, yes in enumerate(masks, 1):
+            if (yes & alive).bit_count() <= half:
+                return ell
+        vclass.read_past(z, masks)
         return ALL_CORRECT
 
     def update(self, z: CotInstance, truth: Label) -> None:
@@ -87,11 +89,14 @@ class SoundConservative(_SpaceLearner):
     mistake_mode = "prefix-level"
 
     def predict(self, z: CotInstance) -> Label:
-        if self.vs.alive == 0:
+        alive, vclass = self.vs.alive, self.vs.vclass
+        if alive == 0:
             raise EmptyVersionSpace("no verifier consistent with history")
-        for ell in range(1, len(z.steps) + 1):
-            if self.vs.yes_mask(z.prefix(ell)) != self.vs.alive:
-                return fault_at(ell)
+        masks = vclass.prefix_masks(z)
+        for ell, yes in enumerate(masks, 1):
+            if yes & alive != alive:
+                return ell
+        vclass.read_past(z, masks)
         return ALL_CORRECT
 
     def update(self, z: CotInstance, truth: Label) -> None:
@@ -230,9 +235,13 @@ class WscSoa(_SpaceLearner):
             return True
         if ym == 0:
             return False
-        m_c = costs.gamma_c + dimensions.wsc_value(vs.restrict(z, True), costs)
-        m_s = costs.gamma_s + dimensions.wsc_value(vs.restrict(z, False), costs)
-        return not (m_c <= m_s)
+        # Accept iff gamma_c + W(yes) > gamma_s + W(no), compared exactly
+        # in units of 1/scale: every value is a multiple of it.
+        ws, wc, scale = dimensions.integer_costs(costs.gamma_s, costs.gamma_c)
+        m_c = dimensions.wsc_value(vs.restrict(z, True), costs)
+        m_s = dimensions.wsc_value(vs.restrict(z, False), costs)
+        return (wc + m_c.numerator * (scale // m_c.denominator)
+                > ws + m_s.numerator * (scale // m_s.denominator))
 
     def predict(self, z: PrefixInstance) -> PrefixLabel:
         return self._predict(self.vs, self.costs, z)
@@ -245,14 +254,16 @@ class WscSoa(_SpaceLearner):
         return lambda z: WscSoa._predict(vs, costs, z)
 
 
-def _scl_loss(costs: CostVector, pred: Label, truth: Label) -> Fraction:
+def _scl_loss(ws: int, wc: int, wl: int, pred: Label, truth: Label) -> int:
+    """The loss of predicting pred against truth, given the costs ws, wc
+    and wl of a soundness, completeness and location mistake."""
     if pred == truth:
-        return Fraction(0)
+        return 0
     if pred == ALL_CORRECT:
-        return costs.gamma_s
+        return ws
     if truth == ALL_CORRECT:
-        return costs.gamma_c
-    return costs.gamma_l
+        return wc
+    return wl
 
 
 class SclSoa(_SpaceLearner):
@@ -277,13 +288,17 @@ class SclSoa(_SpaceLearner):
         labels = sorted(vs.cot_labels(z))
         if len(labels) == 1:
             return labels[0]
-        residual = {
-            y: dimensions.scl_value(vs.restrict_cot(z, y), costs)
-            for y in labels
-        }
+        # Losses and residual dimensions in units of 1/scale, exact: every
+        # value is a multiple of it.
+        ws, wc, wl, scale = dimensions.integer_costs(
+            costs.gamma_s, costs.gamma_c, costs.gamma_l)
+        residual = {}
+        for y in labels:
+            r = dimensions.scl_value(vs.restrict_cot(z, y), costs)
+            residual[y] = r.numerator * (scale // r.denominator)
         best, best_worst = None, None
         for i in labels:
-            worst = max(_scl_loss(costs, i, j) + residual[j] for j in labels)
+            worst = max(_scl_loss(ws, wc, wl, i, j) + residual[j] for j in labels)
             if best_worst is None or worst < best_worst:
                 best, best_worst = i, worst
         return best

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scenario
 from cotverify import cli, families
+from cotverify.core import cot_instances
 
 
 def run_cli(*argv):
@@ -166,13 +167,114 @@ def test_run_rejects_target_out_of_range(class_files, tmp_path, capsys):
 
 
 def test_run_rejects_malformed_sequence(class_files, tmp_path, capsys):
-    for doc in ([[0, 5]], [[0]], [[0, [0, "x"]]], {"0": [0]}, [[True, [0]]]):
+    for doc in ([[0, 5]], [[0]], [[0, [0, "x"]]], {"0": [0]}, [[True, [0]]],
+                [[0, [0, 1]]]):
         seq = tmp_path / "seq.json"
         seq.write_text(json.dumps(doc))
         assert run_cli("run", "--class", class_files["indicator4"],
                        "--learner", "majority", "--target", "0",
                        "--sequence", str(seq)) == cli.EXIT_INVALID
         _one_error_line(capsys)
+
+
+_COT_LEARNERS = ("majority", "sound-conservative", "river", "scl-soa",
+                 "reject-all")
+_PREFIX_LEARNERS = ("sc-soa", "wsc-soa")
+
+
+@pytest.fixture(scope="module")
+def fail_token_files(tmp_path_factory):
+    """Singleton L=3 with a fail token and river L=4 (whose learner reads
+    every token as a bank state, so it has none), each with two sequence
+    files for target 0: its fail-token-free traces, and their prefixes up
+    to the first step the target rejects, as in a proof attempt (the
+    fail-token reduction is only sound on those)."""
+    d = tmp_path_factory.mktemp("fail_token")
+    files = {}
+    for name, vc in {
+        "singleton": families.with_fail_token(
+            families.singleton_bitstring_class(3)),
+        "river": families.river_crossing_class(families.river_edges()[:16], 4),
+    }.items():
+        traces = [z for z in cot_instances(vc) if vc.fail_token not in z.steps]
+        prefixes = []
+        for z in traces:
+            for ell in range(1, vc.L + 1):
+                prefixes.append(z.prefix(ell))
+                if not vc.accepts(0, prefixes[-1]):
+                    break
+        paths = [str(d / f"{name}{suffix}.json")
+                 for suffix in ("", "-traces", "-prefixes")]
+        families.save_class(vc, paths[0])
+        for path, seq in zip(paths[1:], (traces, prefixes)):
+            with open(path, "w") as f:
+                json.dump([[z.problem, list(z.steps)] for z in seq], f)
+        files[name] = paths
+    return files
+
+
+@pytest.mark.parametrize("flag", [None, "--via-prefix", "--via-cot"])
+@pytest.mark.parametrize("learner", _COT_LEARNERS + _PREFIX_LEARNERS)
+def test_run_wrapper_flag_must_match_learner_mode(fail_token_files, tmp_path,
+                                                  capsys, learner, flag):
+    """--via-prefix wraps prefix learners and --via-cot chain-of-thought
+    learners; a mismatch is refused before the sequence file is read."""
+    class_path, traces, prefixes = fail_token_files[
+        "river" if learner == "river" else "singleton"]
+    flags = [flag] if flag else []
+    if ((flag == "--via-prefix" and learner in _COT_LEARNERS)
+            or (flag == "--via-cot" and learner in _PREFIX_LEARNERS)):
+        missing = str(tmp_path / "never-read.json")
+        assert run_cli("run", "--class", class_path, "--learner", learner,
+                       "--target", "0", "--sequence", missing,
+                       *flags) == cli.EXIT_INVALID
+        assert flag in _one_error_line(capsys)
+    elif learner == "river" and flag == "--via-cot":
+        assert run_cli("run", "--class", class_path, "--learner", learner,
+                       "--target", "0", "--sequence", prefixes,
+                       *flags) == cli.EXIT_INVALID
+        assert "fail token" in _one_error_line(capsys)
+    else:
+        prefix_mode = flag == "--via-cot" or (
+            learner in _PREFIX_LEARNERS and flag is None)
+        seq_path = prefixes if prefix_mode else traces
+        assert run_cli("run", "--class", class_path, "--learner", learner,
+                       "--target", "0", "--sequence", seq_path, *flags) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["transcript"]["rounds"]) == len(
+            json.loads(open(seq_path).read()))
+
+
+def test_run_rejects_both_wrapper_flags(fail_token_files, capsys):
+    class_path, _, seq_path = fail_token_files["singleton"]
+    assert run_cli("run", "--class", class_path, "--learner", "sc-soa",
+                   "--target", "0", "--sequence", seq_path, "--via-prefix",
+                   "--via-cot") == cli.EXIT_INVALID
+    _one_error_line(capsys)
+
+
+_OUTSIDE_ENTRIES = {
+    "empty": [0, []], "long": [0, [0, 1, 2, 3, 0]],
+    "token-99": [0, [0, 99, 1, 0]], "token-minus-1": [0, [-1, 0, 1, 0]],
+    "problem-1": [1, [0, 1, 2, 0]], "problem-minus-1": [-1, [0, 1, 2, 0]],
+}
+
+
+@pytest.mark.parametrize("learner", ["river", "majority", "sc-soa"])
+@pytest.mark.parametrize("entry", list(_OUTSIDE_ENTRIES.values()),
+                         ids=list(_OUTSIDE_ENTRIES))
+def test_run_rejects_entries_outside_the_class(fail_token_files, tmp_path,
+                                               capsys, learner, entry):
+    """Entries must be traces (or, for prefix learners, prefixes) of the
+    class's problems and tokens; the river learner used to index its
+    states with them and fail with an IndexError."""
+    class_path = fail_token_files["river" if learner == "river"
+                                  else "singleton"][0]
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps([entry]))
+    assert run_cli("run", "--class", class_path, "--learner", learner,
+                   "--target", "0", "--sequence", str(seq)) == cli.EXIT_INVALID
+    _one_error_line(capsys)
 
 
 def test_deep_search_fails_cleanly(tmp_path, capsys):
@@ -340,16 +442,19 @@ _JSON_VALUES = st.recursive(
 
 # An edit is (path, None), which deletes the field at path, or
 # (path, [value]), which sets it to value.
-@given(edits=st.lists(
-    st.tuples(st.sampled_from(list(_json_paths(_FUZZ_DOC))),
-              st.none() | _JSON_VALUES.map(lambda v: [v])),
-    min_size=1, max_size=3))
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_dim_class_file_contract_under_fuzzing(tmp_path, capsys, edits):
-    """Deleting or replacing fields of a valid class file either leaves a
-    class that dim solves, or is refused with one error line."""
-    doc = copy.deepcopy(_FUZZ_DOC)
+def _edits(doc):
+    """One to three random edits of doc's fields and list entries."""
+    return st.lists(
+        st.tuples(st.sampled_from(list(_json_paths(doc))),
+                  st.none() | _JSON_VALUES.map(lambda v: [v])),
+        min_size=1, max_size=3)
+
+
+def _edited(doc, edits):
+    """A copy of doc with the edits applied in order; an edit whose path
+    an earlier edit removed sets the field if its parent is an object,
+    and is skipped otherwise."""
+    doc = copy.deepcopy(doc)
     for path, replacement in edits:
         parent = doc
         for key in path[:-1]:
@@ -361,14 +466,164 @@ def test_dim_class_file_contract_under_fuzzing(tmp_path, capsys, edits):
                 parent[path[-1]] = replacement[0]
         elif isinstance(parent, dict) and replacement is not None:
             parent[path[-1]] = replacement[0]
-    path = tmp_path / "class.json"
-    path.write_text(json.dumps(doc))
-    code = run_cli("dim", "--class", str(path), "--kind", "ldim", "--witness")
+    return doc
+
+
+def _assert_contract(code, capsys):
+    """Exit 0 with nothing on stderr, or exit 2 with one error line."""
     assert code in (0, cli.EXIT_INVALID)
     if code == 0:
         assert capsys.readouterr().err == ""
     else:
         _one_error_line(capsys)
+
+
+@given(edits=_edits(_FUZZ_DOC))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_dim_class_file_contract_under_fuzzing(tmp_path, capsys, edits):
+    """Deleting or replacing fields of a valid class file either leaves a
+    class that dim solves, or is refused with one error line."""
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(_edited(_FUZZ_DOC, edits)))
+    code = run_cli("dim", "--class", str(path), "--kind", "ldim", "--witness")
+    _assert_contract(code, capsys)
+
+
+# Scenario edits, as (path, None) to delete or (path, [value]) to set; the
+# test scenario's first prover table starts with the rows for problem 0
+# and steps [], [0] and [1].
+_ROW = ("provers", 0, "table")
+_SCENARIO_EDITS = {
+    "float-target": [(("target",), [5.9])],
+    "bool-target": [(("target",), [True])],
+    "string-target": [(("target",), ["5"])],
+    "missing-target": [(("target",), None)],
+    "float-k": [(("k",), [0.5])],
+    "bool-k": [(("k",), [False])],
+    "negative-k": [(("k",), [-1])],
+    "float-s2-constant": [(("s2_constant",), [32.0])],
+    "string-s2-constant": [(("s2_constant",), ["32"])],
+    "float-table-problem": [(_ROW + (0, 0), [0.0])],
+    "bool-table-problem": [(_ROW + (0, 0), [True])],
+    "float-table-step": [(_ROW + (1, 1, 0), [0.5])],
+    "bool-table-step": [(_ROW + (1, 1, 0), [False])],
+    "string-table-token": [(_ROW + (0, 2, "0"), None),
+                           (_ROW + (0, 2, "x"), ["1/2"])],
+    "padded-table-token": [(_ROW + (0, 2, "0"), None),
+                           (_ROW + (0, 2, "00"), ["1/2"])],
+    "float-text-D-problem": [(("D", "3"), None), (("D", "3.0"), ["1/16"])],
+    "spaced-D-problem": [(("D", "3"), None), (("D", " 3"), ["1/16"])],
+    "float-D-weight": [(("D", "0"), [0.0625])],
+    "list-D-weight": [(("D", "0"), [[1]])],
+    "negative-D-weight": [(("D",), [{"0": -1, "1": 2}])],
+    "zero-denominator-weight": [(_ROW + (0, 2, "0"), ["1/0"])],
+    "exponent-alpha": [(("alpha",), ["1e9"])],
+    "null-alpha": [(("alpha",), [None])],
+    "float-epsilon": [(("epsilon",), [0.2])],
+    "missing-class": [(("class",), None)],
+    "missing-alpha": [(("alpha",), None)],
+    "missing-D": [(("D",), None)],
+    "missing-epsilon": [(("epsilon",), None)],
+    "missing-epsilon-prime": [(("epsilon_prime",), None)],
+    "missing-delta": [(("delta",), None)],
+    "missing-provers": [(("provers",), None)],
+    "bool-s2-constant": [(("s2_constant",), [True])],
+    "bool-D-weight": [(("D", "0"), [True])],
+    "D-not-object": [(("D",), [[["0", "1"]]])],
+    "number-class": [(("class",), [5])],
+    "provers-not-list": [(("provers",), [{"table": []}])],
+    "prover-without-table": [(("provers", 0, "table"), None)],
+    "number-prover-name": [(("provers", 0, "name"), [5])],
+    "short-table-row": [(_ROW + (2, 2), None)],
+    "dist-not-object": [(_ROW + (1, 2), [[["0", "1"]]])],
+    "repeated-table-row": [(_ROW + (1,), [[0, [], {"0": "1/2", "1": "1/2"}]])],
+}
+
+
+@pytest.fixture
+def scenario_path(tmp_path, capsys):
+    """A valid scenario file with every optional field, which boost
+    accepts."""
+    doc = json.loads(open(scenario.write_scenario_files(tmp_path)).read())
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(doc, s2_constant=32)))
+    assert run_cli("boost", "--scenario", str(path), "--verify-alpha") == 0
+    capsys.readouterr()
+    return path
+
+
+@pytest.mark.parametrize("edits", list(_SCENARIO_EDITS.values()),
+                         ids=list(_SCENARIO_EDITS))
+def test_boost_rejects_malformed_scenario(scenario_path, capsys, edits):
+    doc = json.loads(scenario_path.read_text())
+    scenario_path.write_text(json.dumps(_edited(doc, edits)))
+    assert run_cli("boost", "--scenario", str(scenario_path),
+                   "--verify-alpha") == cli.EXIT_INVALID
+    _one_error_line(capsys)
+
+
+def test_boost_rejects_scenario_that_is_not_an_object(scenario_path, capsys):
+    doc = json.loads(scenario_path.read_text())
+    for bad in ([doc], 5, None):
+        scenario_path.write_text(json.dumps(bad))
+        assert run_cli("boost", "--scenario", str(scenario_path),
+                       "--verify-alpha") == cli.EXIT_INVALID
+        _one_error_line(capsys)
+
+
+_FUZZ_SEQUENCE = [[0, [0, 1, 0]], [0, [1, 1, 1]], [0, [0, 2, 2]]]
+
+
+@given(edits=_edits(_FUZZ_SEQUENCE),
+       learner=st.sampled_from([
+           ["majority"], ["sound-conservative"], ["reject-all"],
+           ["scl-soa"], ["sc-soa"], ["wsc-soa"], ["sc-soa", "--via-prefix"],
+           ["sound-conservative", "--via-cot"]]))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_run_sequence_file_contract_under_fuzzing(fail_token_files, tmp_path,
+                                                  capsys, edits, learner):
+    """Deleting or replacing entries of a valid sequence file either leaves
+    a sequence that run plays, or is refused with one error line."""
+    class_path = fail_token_files["singleton"][0]
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(_edited(_FUZZ_SEQUENCE, edits)))
+    code = run_cli("run", "--class", class_path, "--learner", learner[0],
+                   "--target", "1", "--sequence", str(path), *learner[1:])
+    _assert_contract(code, capsys)
+
+
+@pytest.fixture(scope="module")
+def fuzz_scenario(tmp_path_factory):
+    d = tmp_path_factory.mktemp("scenario")
+    return json.loads(open(scenario.write_scenario_files(d)).read())
+
+
+# The test scenario's fields, with each prover table cut to its first two
+# rows (the other rows are alike), so that the edits hit every field.
+_SCENARIO_SKELETON = {
+    "class": "", "target": 0, "k": 0, "alpha": "", "epsilon": "",
+    "epsilon_prime": "", "delta": "", "s2_constant": 0,
+    "D": {str(p): "" for p in range(16)},
+    "provers": [{"name": "", "table": [[0, [], {"0": "", "1": ""}],
+                                       [0, [0], {"0": "", "1": ""}]]}] * 2,
+}
+
+
+@given(edits=_edits(_SCENARIO_SKELETON))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_boost_scenario_contract_under_fuzzing(fuzz_scenario, tmp_path,
+                                               capsys, edits):
+    """Deleting or replacing fields of the test scenario either leaves a
+    scenario whose goodness boost verifies, or is refused with one error
+    line."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_edited(dict(fuzz_scenario, s2_constant=32),
+                                       edits)))
+    code = run_cli("boost", "--scenario", str(path), "--verify-alpha")
+    _assert_contract(code, capsys)
 
 
 # The report writer.
