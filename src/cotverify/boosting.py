@@ -7,19 +7,23 @@ timeout.  Training draws one problem batch to generate conservative
 hypothesis snapshots and a second batch to test and select among them.
 
 Provers are table-driven categorical samplers with exact rational
-weights, compiled to integer thresholds so that a draw is one
-``randrange`` and one bisection; alpha-goodness is verified by
-exhaustive table scan rather than assumed.  All randomness flows through
-explicitly passed generators.
+weights, compiled to integer thresholds so that a draw is one uniform
+integer below the common denominator and one bisection; alpha-goodness
+is verified by exhaustive table scan rather than assumed.  All
+randomness flows through explicitly passed generators.
 
 The walkers advance a node of the class's prefix trie
 (``VerifierClass.prefix_trie``) rather than building a prefix per
-candidate: each candidate is looked up by (node, token), and verdicts,
-learners and the labeling oracle see the universe's own
-``PrefixInstance``.  A prefix outside the universe is built afresh, as
-before.  ``build_vhp`` wraps every frozen snapshot in a ``CachedVerdict``
-that asks the snapshot once per universe index, so S2 testing and the
-boosted prover pay for each distinct prefix once.
+candidate.  At each node they draw from per-node tables that the prover
+set compiles once per class (``ProverSet.draw_tables``): a draw is a
+``getrandbits`` rejection loop, exactly as ``Random.randrange`` makes
+it, and one bisection straight to the candidate's universe index.
+Verdicts, learners and the labeling oracle see the universe's own
+``PrefixInstance``.  A prefix outside the universe is built afresh and
+drawn from through ``Prover.sample``, as before.  ``build_vhp`` wraps
+every frozen snapshot in a ``CachedVerdict`` that asks the snapshot once
+per universe index, so S2 testing and the boosted prover pay for each
+distinct prefix once.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from __future__ import annotations
 import functools
 import math
 import random
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
@@ -45,13 +51,14 @@ from .learners import ConservativeWrapper
 Verdict = Callable[[PrefixInstance], bool]
 
 
-def _compile(weights: dict, where) -> tuple[int, list, list]:
+def _compile(weights: dict, where) -> tuple[int, int, list, list]:
     """Compile {outcome: rational} weights for exact drawing.
 
-    Returns (denom, cumulative integer thresholds, sorted outcomes):
+    Returns (denom, bits, cumulative integer thresholds, sorted outcomes):
     outcome i is drawn for r in [thresholds[i-1], thresholds[i]) with r
-    uniform on range(denom).  Raises ValueError, naming where, unless
-    every weight is nonnegative and they sum to 1.
+    uniform on range(denom), and bits = denom.bit_length() is the width
+    of the words that r is drawn from.  Raises ValueError, naming where,
+    unless every weight is nonnegative and they sum to 1.
     """
     denom = math.lcm(*[w.denominator for w in weights.values()])
     outcomes = []
@@ -66,13 +73,22 @@ def _compile(weights: dict, where) -> tuple[int, list, list]:
         thresholds.append(acc)
     if acc != denom:
         raise ValueError(f"weights at {where} do not sum to 1")
-    return denom, thresholds, outcomes
+    return denom, denom.bit_length(), thresholds, outcomes
 
 
-def _draw(compiled: tuple[int, list, list], rng: random.Random):
-    """One exact draw from a compiled distribution."""
-    denom, thresholds, outcomes = compiled
-    return outcomes[bisect_right(thresholds, rng.randrange(denom))]
+def _draw(compiled: tuple[int, int, list, list], rng: random.Random):
+    """One exact draw from a compiled distribution.
+
+    r is drawn as Random.randrange(denom) draws it, by rejection from
+    bits-wide getrandbits words, so the draw and the generator's state
+    afterwards are those of randrange.
+    """
+    denom, bits, thresholds, outcomes = compiled
+    getrandbits = rng.getrandbits
+    r = getrandbits(bits)
+    while r >= denom:
+        r = getrandbits(bits)
+    return outcomes[bisect_right(thresholds, r)]
 
 
 @dataclass(frozen=True)
@@ -103,6 +119,9 @@ class Prover:
 class ProverSet:
     provers: tuple
     alpha: Fraction
+    _tables: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
+        compare=False)
 
     def __post_init__(self):
         if len(self.provers) < 1:
@@ -113,6 +132,51 @@ class ProverSet:
     @property
     def k(self) -> int:
         return len(self.provers)
+
+    def __reduce__(self):
+        # Pickle and copy without the draw tables, which hold weak
+        # references; a copy builds its own on first use.
+        return ProverSet, (self.provers, self.alpha)
+
+    def draw_tables(self, vclass: VerifierClass) -> dict:
+        """The provers' draw tables on vclass's prefix trie, keyed by trie
+        node and filled by node_draws as walks reach the nodes.  Cached
+        per class for as long as the class lives."""
+        tables = self._tables.get(vclass)
+        if tables is None:
+            tables = self._tables[vclass] = {}
+        return tables
+
+    def node_draws(self, vclass: VerifierClass, node: Optional[int]) -> tuple:
+        """The provers' draw tables at a trie node, one per prover in
+        order: (denom, bits, thresholds, kids, tokens), where a draw r
+        picks tokens[j] for j = bisect_right(thresholds, r) and kids[j] is
+        the universe index of the child prefix, None if it is outside the
+        universe.  A prover without a distribution at the node has None,
+        and so has every prover at node None, a walk that has left the
+        trie: those candidates are drawn through Prover.sample."""
+        if node is None:
+            return (None,) * len(self.provers)
+        tables = self.draw_tables(vclass)
+        draws = tables.get(node)
+        if draws is None:
+            child = vclass.prefix_trie()
+            if node < 0:
+                key = (-1 - node, ())
+            else:
+                z = vclass.universe[node]
+                key = (z.problem, z.steps)
+            draws = []
+            for prover in self.provers:
+                compiled = prover._compiled.get(key)
+                if compiled is None:
+                    draws.append(None)
+                    continue
+                denom, bits, thresholds, tokens = compiled
+                kids = [child.get((node, tok)) for tok in tokens]
+                draws.append((denom, bits, thresholds, kids, tokens))
+            draws = tables[node] = tuple(draws)
+        return draws
 
 
 @dataclass(frozen=True)
@@ -157,23 +221,59 @@ class TestResult(Enum):
     CORRECT = "correct"
 
 
+def _ln_bounds(n: int) -> tuple[Fraction, Fraction]:
+    """Rationals strictly around ln n for an integer n >= 1, at the current
+    decimal precision: the neighbours of the correctly rounded ln n, or 0
+    and 0 for ln 1, which is exact."""
+    if n == 1:
+        return Fraction(0), Fraction(0)
+    v = Decimal(n).ln()
+    return Fraction(v.next_minus()), Fraction(v.next_plus())
+
+
+@functools.lru_cache(maxsize=256)
+def ceil_log(r, s, q) -> int:
+    """ceil(r + s ln q), exactly, for rationals r, s and q > 0.
+
+    ln q is irrational for every rational q other than 1, so r + s ln q
+    is an integer only when s = 0 or q = 1, and those are decided
+    exactly.  Otherwise ln q = ln(numerator) - ln(denominator) is bounded
+    through _ln_bounds, and the precision doubles until both ends of the
+    interval for r + s ln q have the same ceiling.
+    """
+    r, s, q = Fraction(r), Fraction(s), Fraction(q)
+    if q <= 0:
+        raise ValueError("ln of a nonpositive number")
+    if s == 0 or q == 1:
+        return math.ceil(r)
+    prec = 40
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            num_low, num_high = _ln_bounds(q.numerator)
+            den_low, den_high = _ln_bounds(q.denominator)
+        ends = sorted((r + s * (num_low - den_high),
+                       r + s * (num_high - den_low)))
+        # r + s ln q lies strictly between the ends.
+        if math.floor(ends[0]) == math.floor(ends[1]):
+            return math.floor(ends[0]) + 1
+        prec *= 2
+
+
 @functools.lru_cache(maxsize=128)
 def timeout_budget(alpha, k: int, L: int, epsilon_prime) -> int:
-    """ceil((1/alpha) ln(kL/epsilon')), clamped to at least 1.
+    """ceil((1/alpha) ln(kL/epsilon')), exactly, clamped to at least 1."""
+    return max(1, ceil_log(0, 1 / Fraction(alpha),
+                           Fraction(k * L) / Fraction(epsilon_prime)))
 
-    Float logarithm: one of the three float steps of the package, with
-    s1_size and s2_size.
-    """
-    raw = math.log(float(Fraction(k * L) / Fraction(epsilon_prime)))
-    return max(1, math.ceil(raw / float(alpha)))
+
+def _budget(prover_set: ProverSet, params: BoostParams, L: int) -> int:
+    return timeout_budget(prover_set.alpha, prover_set.k, L, params.epsilon_prime)
 
 
 def oracle_call_cap(params: BoostParams, prover_set: ProverSet, L: int) -> int:
     """Worst-case labeling-oracle calls while handling one example."""
-    budget = timeout_budget(
-        prover_set.alpha, prover_set.k, L, params.epsilon_prime
-    )
-    return L * prover_set.k * budget + L
+    return L * prover_set.k * _budget(prover_set, params, L) + L
 
 
 def alpha_goodness(
@@ -253,6 +353,17 @@ class CachedVerdict:
         return v
 
 
+class _Uncached:
+    """The verdict list of a verdict that is not a CachedVerdict: every
+    entry is unknown, so the walk asks the verdict itself."""
+
+    def __getitem__(self, i: int) -> None:
+        return None
+
+
+_UNCACHED = _Uncached()
+
+
 def _prefixes(vclass: VerifierClass, trace: CotInstance):
     """The prefixes of trace, shortest first: the universe's own objects,
     and new PrefixInstances once the trace leaves the prefix trie."""
@@ -270,32 +381,46 @@ def _walk(
     h: Verdict,
     vclass: VerifierClass,
     rng: random.Random,
+    budget: Optional[int] = None,
 ) -> tuple[ProofOutcome, list[PrefixInstance]]:
     """weak_to_strong, also returning every rejected candidate in order,
     repeats included."""
-    budget = timeout_budget(
-        prover_set.alpha, prover_set.k, vclass.L, params.epsilon_prime
-    )
-    child, universe = vclass.prefix_trie(), vclass.universe
+    if budget is None:
+        budget = _budget(prover_set, params, vclass.L)
+    tables, universe = prover_set.draw_tables(vclass), vclass.universe
+    provers, getrandbits = prover_set.provers, rng.getrandbits
     if isinstance(h, CachedVerdict):
-        verdict_at = h.at
+        verdicts, verdict_at = h.verdicts, h.at
     else:
+        verdicts = _UNCACHED
+
         def verdict_at(i):
             return h(universe[i])
     rejected = []
     node, steps = -1 - x, ()
     for _ell in range(vclass.L):
+        draws = tables.get(node) or prover_set.node_draws(vclass, node)
         advanced = False
         for _attempt in range(budget):
-            for prover in prover_set.provers:
-                tok = prover.sample(x, steps, rng)
-                i = child.get((node, tok))
+            for prover, d in zip(provers, draws):
+                if d is None:
+                    tok, i = prover.sample(x, steps, rng), None
+                else:
+                    # Random.randrange(denom), inlined; see _draw.
+                    denom, bits, thresholds, kids, tokens = d
+                    r = getrandbits(bits)
+                    while r >= denom:
+                        r = getrandbits(bits)
+                    j = bisect_right(thresholds, r)
+                    i, tok = kids[j], tokens[j]
                 if i is None:
                     z = PrefixInstance(x, steps + (tok,))
                     accepted = h(z)
                 else:
                     z = universe[i]
-                    accepted = verdict_at(i)
+                    accepted = verdicts[i]
+                    if accepted is None:
+                        accepted = verdict_at(i)
                 if accepted:
                     node, steps = i, z.steps
                     advanced = True
@@ -315,15 +440,17 @@ def weak_to_strong(
     h: Verdict,
     vclass: VerifierClass,
     rng: random.Random,
+    budget: Optional[int] = None,
 ) -> ProofOutcome:
     """Assemble a proof step by step, keeping h-approved candidates.
 
     At each step, sample one candidate from every prover, take the first
-    accepted one, and retry up to the timeout budget; any step that
-    exhausts its budget aborts the whole attempt.  h sees the universe's
-    own PrefixInstance for every candidate in the universe.
+    accepted one, and retry up to the timeout budget (timeout_budget's
+    unless given); any step that exhausts its budget aborts the whole
+    attempt.  h sees the universe's own PrefixInstance for every
+    candidate in the universe.
     """
-    return _walk(x, prover_set, params, h, vclass, rng)[0]
+    return _walk(x, prover_set, params, h, vclass, rng, budget)[0]
 
 
 def process_example(
@@ -333,27 +460,37 @@ def process_example(
     learner,
     oracle: Oracle,
     rng: random.Random,
+    budget: Optional[int] = None,
 ) -> tuple[ProcessResult, int]:
     """One training pass: sample steps, cross-check learner vs oracle.
 
     The first learner/oracle disagreement triggers exactly one learner
     update and ends the example.  Returns the outcome and the number of
-    labeling-oracle calls made.
+    labeling-oracle calls made.  budget defaults to timeout_budget's.
     """
     vclass = oracle.vclass
-    budget = timeout_budget(
-        prover_set.alpha, prover_set.k, vclass.L, params.epsilon_prime
-    )
-    child, universe = vclass.prefix_trie(), vclass.universe
+    if budget is None:
+        budget = _budget(prover_set, params, vclass.L)
+    tables, universe = prover_set.draw_tables(vclass), vclass.universe
+    provers, getrandbits = prover_set.provers, rng.getrandbits
     calls = 0
     node, steps = -1 - x, ()
     path = []
     for _ell in range(vclass.L):
+        draws = tables.get(node) or prover_set.node_draws(vclass, node)
         accepted = None
         for _attempt in range(budget):
-            for prover in prover_set.provers:
-                tok = prover.sample(x, steps, rng)
-                i = child.get((node, tok))
+            for prover, d in zip(provers, draws):
+                if d is None:
+                    tok, i = prover.sample(x, steps, rng), None
+                else:
+                    # Random.randrange(denom), inlined; see _draw.
+                    denom, bits, thresholds, kids, tokens = d
+                    r = getrandbits(bits)
+                    while r >= denom:
+                        r = getrandbits(bits)
+                    j = bisect_right(thresholds, r)
+                    i, tok = kids[j], tokens[j]
                 z = PrefixInstance(x, steps + (tok,)) if i is None else universe[i]
                 v = learner.predict(z)
                 y = oracle.prefix_label(z)
@@ -386,15 +523,18 @@ def test_hypothesis(
     h: Verdict,
     oracle: Oracle,
     rng: random.Random,
+    budget: Optional[int] = None,
 ) -> tuple[TestResult, int]:
     """Dry-run the frozen hypothesis at test time and grade it.
 
     A returned proof with any oracle-rejected prefix is a soundness
     mistake; an abstention after rejecting any truly correct prefix is a
     completeness mistake.  The oracle is asked about the rejected
-    candidates in order, repeats included.
+    candidates in order, repeats included.  budget defaults to
+    timeout_budget's.
     """
-    outcome, rejected = _walk(x, prover_set, params, h, oracle.vclass, rng)
+    outcome, rejected = _walk(x, prover_set, params, h, oracle.vclass, rng,
+                              budget)
     calls = 0
     if outcome.is_proof:
         for z in _prefixes(oracle.vclass, outcome.trace):
@@ -418,30 +558,33 @@ class BoostedProver:
     params: BoostParams
     vclass: VerifierClass
     report: dict = field(default_factory=dict)
+    budget: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.budget = _budget(self.prover_set, self.params, self.vclass.L)
 
     def generate(self, x: int, rng: random.Random) -> ProofOutcome:
         return weak_to_strong(
-            x, self.prover_set, self.params, self.verifier, self.vclass, rng
+            x, self.prover_set, self.params, self.verifier, self.vclass, rng,
+            self.budget,
         )
 
 
 def s1_size(params: BoostParams, m_s: int, m_c: int) -> int:
-    """|S1| = ceil(8 ((M_s + M_c)/epsilon + ln(2/delta))), in floats."""
-    return math.ceil(
-        8 * (float(Fraction(m_c + m_s) / params.epsilon)
-             + math.log(float(2 / params.delta)))
-    )
+    """|S1| = ceil(8 ((M_s + M_c)/epsilon + ln(2/delta))), exactly."""
+    return ceil_log(8 * Fraction(m_s + m_c) / params.epsilon, 8,
+                    2 / Fraction(params.delta))
 
 
 def s2_size(params: BoostParams, m_s: int, m_c: int) -> int:
     """|S2| = ceil(C (1/epsilon) (M/(min(M_s, M_c) + 1)) ln(M/delta)),
-    in floats."""
+    exactly."""
     total = m_s + m_c
-    return math.ceil(
-        params.s2_constant
-        * float(1 / params.epsilon)
-        * (total / (min(m_s, m_c) + 1))
-        * math.log(total / float(params.delta))
+    return ceil_log(
+        0,
+        params.s2_constant / Fraction(params.epsilon)
+        * Fraction(total, min(m_s, m_c) + 1),
+        total / Fraction(params.delta),
     )
 
 
@@ -454,6 +597,7 @@ def _test_snapshot(
     rng: random.Random,
     limits: tuple[int, int],
     cap: int,
+    budget: int,
 ) -> tuple[int, int, int, int]:
     """Test one snapshot on the S2 problems until it passes an error limit.
 
@@ -464,7 +608,8 @@ def _test_snapshot(
     sound_limit, complete_limit = limits
     sound = complete = tested = total_calls = 0
     for x in problems:
-        result, calls = test_hypothesis(x, prover_set, params, h, oracle, rng)
+        result, calls = test_hypothesis(x, prover_set, params, h, oracle, rng,
+                                        budget)
         assert calls <= cap, "oracle budget exceeded while testing"
         total_calls += calls
         tested += 1
@@ -506,6 +651,7 @@ def build_vhp(
     if not isinstance(learner, ConservativeWrapper):
         learner = ConservativeWrapper(learner)
     vclass = oracle.vclass
+    budget = _budget(prover_set, params, vclass.L)
     cap = oracle_call_cap(params, prover_set, vclass.L)
     problem_dist = _compile(D, "D")
 
@@ -515,7 +661,7 @@ def build_vhp(
     for _ in range(n1):
         x = _draw(problem_dist, rng)
         result, calls = process_example(
-            x, prover_set, params, learner, oracle, rng
+            x, prover_set, params, learner, oracle, rng, budget
         )
         assert calls <= cap, "oracle budget exceeded while training"
         train_calls += calls
@@ -535,7 +681,7 @@ def build_vhp(
     problems = [_draw(problem_dist, rng) for _ in range(n2)]
     sound_errs, complete_errs, tested, test_calls = map(list, zip(*(
         _test_snapshot(h, problems, prover_set, params, oracle, stream,
-                       limits, cap)
+                       limits, cap, budget)
         for h, stream in zip(produced, streams)
     )))
     selected = next(

@@ -195,6 +195,9 @@ class VerifierClass:
         self.fail_token = fail_token
         self._validate()
         self._index = {z: i for i, z in enumerate(self.universe)}
+        # Universe index by object identity, filled by prefix_trie: sound
+        # because self.universe keeps every one of these objects alive.
+        self._ids: dict[int, int] = {}
         self._partitions: dict[CotInstance, tuple[tuple[Label, int], ...]] = {}
         self._prefix_masks: dict[CotInstance, tuple[int, ...]] = {}
         self._trie: Optional[dict[tuple[int, int], int]] = None
@@ -293,6 +296,11 @@ class VerifierClass:
         return self.n_verifiers
 
     def index_of(self, z: PrefixInstance) -> int:
+        """z's universe index: by identity for the universe's own objects
+        once prefix_trie has been built, else by value."""
+        i = self._ids.get(id(z))
+        if i is not None:
+            return i
         try:
             return self._index[z]
         except KeyError:
@@ -306,7 +314,7 @@ class VerifierClass:
         of the prefix extending node's prefix by token, where node is a
         universe index or -1 - problem for the empty prefix.  A prefix
         whose parent is outside the universe has no entry.  Built on first
-        use and cached."""
+        use and cached, together with index_of's identity map."""
         if self._trie is None:
             child = {}
             for i, z in enumerate(self.universe):
@@ -315,6 +323,7 @@ class VerifierClass:
                 if parent is not None:
                     child[(parent, z.steps[-1])] = i
             self._trie = child
+            self._ids = {id(z): i for i, z in enumerate(self.universe)}
         return self._trie
 
     def accepts(self, verifier_id: int, z: PrefixInstance) -> PrefixLabel:
@@ -468,7 +477,8 @@ class Oracle:
             )
 
     def prefix_label(self, z: PrefixInstance) -> PrefixLabel:
-        return self.vclass.accepts(self.target, z)
+        vclass = self.vclass
+        return vclass.yes_masks[vclass.index_of(z)] >> self.target & 1 == 1
 
     def cot_label(self, z: CotInstance) -> Label:
         """The target's first rejected prefix of z, as cot_label_of, read

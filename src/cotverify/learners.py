@@ -110,6 +110,9 @@ class RiverCrossingSound:
     Accepts a trace prefix while every move lies in the revealed edges
     plus the accumulated learned set; each completeness mistake reveals
     one hidden edge, so total mistakes never exceed the hidden-edge count.
+    The class's fail token, if it has one, is a step no move reaches: the
+    first one in a trace is a fault, as every verifier of a fail-token
+    class rejects it.
     """
 
     mode = "cot"
@@ -124,10 +127,12 @@ class RiverCrossingSound:
         self.vclass = vclass
         self.costs = costs
         try:
+            # None for the fail token: no edge leads to it.
             self.states = [
-                tuple(int(c) for c in t.name) for t in vclass.sigma
+                None if t.id == vclass.fail_token
+                else tuple(int(c) for c in t.name) for t in vclass.sigma
             ]
-            if any(len(s) != 4 for s in self.states):
+            if any(s is not None and len(s) != 4 for s in self.states):
                 raise ValueError
         except ValueError:
             raise ClassMismatch(

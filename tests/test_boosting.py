@@ -3,15 +3,18 @@ dynamics, S2 early elimination, the indexed walkers and the snapshot
 cache, and one full pipeline run."""
 
 import collections
+import copy
+import gc
 import itertools
 import json
 import math
+import pickle
 import random
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scenario
 from cotverify import boosting, cli, dimensions
@@ -107,6 +110,97 @@ def test_compiled_sampler_draws_equal_reference(table, seed):
         assert prover.sample(problem, steps, compiled) == _sample_categorical(
             table[(problem, steps)], reference)
     assert compiled.getstate() == reference.getstate()
+
+
+@st.composite
+def _exact_distributions(draw):
+    """{token: weight} over some of the tokens 0..7, the weights k/denom
+    for a denominator of 1, a power of two, 3**50 or a random one, with
+    zero weights."""
+    denom = draw(st.sampled_from([1, 2, 8, 2**64, 3**50])
+                 | st.integers(1, 10**6))
+    tokens = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8,
+                           unique=True))
+    cuts = sorted(draw(st.lists(st.integers(0, denom),
+                                min_size=len(tokens) - 1,
+                                max_size=len(tokens) - 1)))
+    bounds = [0, *cuts, denom]
+    return {t: Fraction(b - a, denom)
+            for t, a, b in zip(tokens, bounds, bounds[1:])}
+
+
+def _one_step_class(tokens):
+    """One problem, L = 1, a universe of the given one-step prefixes and a
+    single verifier that rejects all of them."""
+    sigma = [StepToken(t) for t in range(8)]
+    return VerifierClass.build(sigma, [Problem(0)], 1, {
+        PrefixInstance(0, (t,)): [False] for t in tokens})
+
+
+_THIRDS = {0: Fraction(1, 3**50), 1: Fraction(0), 5: 1 - Fraction(1, 3**50)}
+
+
+@given(dists=st.lists(_exact_distributions(), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(dists=[{3: Fraction(1)}], seed=0)
+@example(dists=[{0: Fraction(1, 2), 6: Fraction(0), 7: Fraction(1, 2)},
+                {2: Fraction(3, 2**64), 4: 1 - Fraction(3, 2**64)}], seed=1)
+@example(dists=[_THIRDS, {5: Fraction(1)}], seed=2)
+@settings(max_examples=60, deadline=None)
+def test_node_tables_draw_what_randrange_draws(dists, seed):
+    """The walkers' per-node draw tables give the randrange reference's
+    candidates and leave the generator where the reference leaves it:
+    _walk on a universe holding only the tokens 0..3, so some candidates
+    are outside it, and process_example on one holding every token."""
+    provers = boosting.ProverSet(
+        tuple(boosting.Prover({(0, ()): d}) for d in dists), Fraction(1))
+    budget = 25
+    expected, ref = [], random.Random(seed)
+    for _ in range(budget):
+        expected += [_sample_categorical(d, ref) for d in dists]
+
+    rng = random.Random(seed)
+    outcome, rejected = boosting._walk(
+        0, provers, scenario.build_params(), lambda z: False,
+        _one_step_class(range(4)), rng, budget)
+    assert not outcome.is_proof
+    assert [z.steps[0] for z in rejected] == expected
+    assert rng.getstate() == ref.getstate()
+
+    full = _one_step_class(range(8))
+    seen = []
+
+    class Recorder:
+        def predict(self, z):
+            seen.append(z)
+            return False
+
+    rng = random.Random(seed)
+    result, calls = boosting.process_example(
+        0, provers, scenario.build_params(), Recorder(), Oracle(full, 0), rng,
+        budget)
+    assert (result, calls) == (boosting.ProcessResult.TIMEOUT, len(expected))
+    assert [z.steps[0] for z in seen] == expected
+    assert all(z is full.universe[z.steps[0]] for z in seen)
+    assert rng.getstate() == ref.getstate()
+
+
+def test_draw_tables_are_cached_per_class_and_not_pickled(setup):
+    """A prover set keeps one draw-table cache per class, dropped with the
+    class; a pickled or copied set is equal and starts with none."""
+    prover_set = scenario.build_prover_set()
+    vc = scenario.build_class()
+    boosting.weak_to_strong(0, prover_set, setup["params"], lambda z: True,
+                            vc, random.Random(0))
+    assert prover_set.draw_tables(vc) is prover_set.draw_tables(vc)
+    assert prover_set.draw_tables(vc)
+    for twin in (pickle.loads(pickle.dumps(prover_set)),
+                 copy.deepcopy(prover_set)):
+        assert twin == prover_set
+        assert len(twin._tables) == 0
+    del vc
+    gc.collect()
+    assert len(prover_set._tables) == 0
 
 
 def test_exact_categorical_sampler_frequencies():
@@ -600,13 +694,18 @@ def test_cached_verdicts_ask_each_prefix_once(setup, monkeypatch):
     learner = ConservativeWrapper(_FixedSnapshot(oracle, False))
     learner.snapshots += counters
     candidates = [0]
-    original = boosting.Prover.sample
+    original = boosting._walk
 
-    def counting_sample(self, *args):
-        candidates[0] += 1
-        return original(self, *args)
+    def counting_walk(*args):
+        # Every rejection and every step of a proof was a candidate: a
+        # lower bound on the candidates drawn, which abstentions exceed.
+        outcome, rejected = original(*args)
+        candidates[0] += len(rejected)
+        if outcome.is_proof:
+            candidates[0] += len(outcome.trace.steps)
+        return outcome, rejected
 
-    monkeypatch.setattr(boosting.Prover, "sample", counting_sample)
+    monkeypatch.setattr(boosting, "_walk", counting_walk)
     vhp = boosting.build_vhp(
         setup["prover_set"], setup["D"], setup["params"], learner, oracle,
         (2, 2), random.Random("cache:build"))
@@ -692,8 +791,9 @@ EPSILONS = [Fraction(1, 100), Fraction(1, 20), Fraction(1, 7), Fraction(1, 5),
 
 
 def test_float_ceilings_match_50_digit_decimal():
-    """timeout_budget, s1_size and s2_size take float logarithms; on a grid
-    of parameters no float rounding moves one of their ceilings."""
+    """timeout_budget, s1_size and s2_size equal the 50-digit decimal
+    ceilings on a grid of parameters, where the float logarithms they once
+    took were also exact."""
     with localcontext() as ctx:
         ctx.prec = 50
         for alpha, k, L, eps_prime in itertools.product(
@@ -716,3 +816,41 @@ def test_float_ceilings_match_50_digit_decimal():
                        * (total / _dec(delta)).ln())
             assert boosting.s1_size(params, m_s, m_c) == s1, (eps, delta, m_s, m_c)
             assert boosting.s2_size(params, m_s, m_c) == s2, (eps, delta, m_s, m_c, c)
+
+
+def _convergents(x: Fraction):
+    """The continued-fraction convergents of x, in order."""
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        a = math.floor(x)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        yield Fraction(h1, k1)
+        if x == a:
+            return
+        x = 1 / (x - a)
+
+
+def test_exact_ceiling_where_the_float_one_is_off_by_one():
+    """alpha a convergent of ln 2 from below makes (1/alpha) ln 2 exceed 1
+    by less than a double can see: the float formula timeout_budget once
+    used says 1, and the exact one says 2, as 100-digit decimals do."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        ln2 = Decimal(2).ln()
+    below = (c for c in _convergents(Fraction(ln2)) if 0 < c < Fraction(ln2))
+
+    def by_float(alpha):
+        return max(1, math.ceil(math.log(2.0) / float(alpha)))
+
+    alpha = next(c for c in below if by_float(c) == 1)
+    assert alpha.denominator > 2**20
+    with localcontext() as ctx:
+        ctx.prec = 100
+        exact = max(1, _ceil(ln2 / _dec(alpha)))
+    assert exact == 2
+    assert boosting.timeout_budget(alpha, 1, 1, Fraction(1, 2)) == exact
+    assert boosting.ceil_log(0, 1 / alpha, 2) == exact
+    assert boosting.ceil_log(5, 1 / alpha, 2) == exact + 5
+    # ln 1 = 0 and a zero coefficient are decided exactly.
+    assert boosting.ceil_log(Fraction(7, 2), 3, 1) == 4
+    assert boosting.ceil_log(Fraction(-7, 2), 0, 5) == -3

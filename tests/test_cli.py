@@ -184,17 +184,19 @@ _PREFIX_LEARNERS = ("sc-soa", "wsc-soa")
 
 @pytest.fixture(scope="module")
 def fail_token_files(tmp_path_factory):
-    """Singleton L=3 with a fail token and river L=4 (whose learner reads
-    every token as a bank state, so it has none), each with two sequence
-    files for target 0: its fail-token-free traces, and their prefixes up
-    to the first step the target rejects, as in a proof attempt (the
-    fail-token reduction is only sound on those)."""
+    """Singleton L=3 with a fail token, and river L=4 without one and with
+    one, each with two sequence files for target 0: its fail-token-free
+    traces, and their prefixes up to the first step the target rejects, as
+    in a proof attempt (the fail-token reduction is only sound on
+    those)."""
     d = tmp_path_factory.mktemp("fail_token")
     files = {}
+    river = families.river_crossing_class(families.river_edges()[:16], 4)
     for name, vc in {
         "singleton": families.with_fail_token(
             families.singleton_bitstring_class(3)),
-        "river": families.river_crossing_class(families.river_edges()[:16], 4),
+        "river": river,
+        "river-fail-token": families.with_fail_token(river),
     }.items():
         traces = [z for z in cot_instances(vc) if vc.fail_token not in z.steps]
         prefixes = []
@@ -230,10 +232,18 @@ def test_run_wrapper_flag_must_match_learner_mode(fail_token_files, tmp_path,
                        *flags) == cli.EXIT_INVALID
         assert flag in _one_error_line(capsys)
     elif learner == "river" and flag == "--via-cot":
+        # The reduction pads with the class's fail token: refused on a
+        # class without one, sound on a class with one.
         assert run_cli("run", "--class", class_path, "--learner", learner,
                        "--target", "0", "--sequence", prefixes,
                        *flags) == cli.EXIT_INVALID
         assert "fail token" in _one_error_line(capsys)
+        class_path, _, prefixes = fail_token_files["river-fail-token"]
+        assert run_cli("run", "--class", class_path, "--learner", learner,
+                       "--target", "0", "--sequence", prefixes, *flags) == 0
+        transcript = json.loads(capsys.readouterr().out)["transcript"]
+        assert len(transcript["rounds"]) == len(json.loads(open(prefixes).read()))
+        assert transcript["soundness_mistakes"] == 0
     else:
         prefix_mode = flag == "--via-cot" or (
             learner in _PREFIX_LEARNERS and flag is None)

@@ -166,6 +166,32 @@ def test_cot_partition_matches_cot_label_of(seed, L, fail_token):
             vc.cot_partition(CotInstance(0, steps))
 
 
+def test_oracle_labels_by_identity_and_by_value():
+    """Once the prefix trie is built, the oracle finds the universe's own
+    prefixes by identity; an equal but distinct prefix gets the same label
+    by value, and a prefix outside the universe raises the same error as
+    before."""
+    vc = families.singleton_bitstring_class(3)
+    oracle = Oracle(vc, 5)
+    outside = PrefixInstance(0, (0, 2))
+    with pytest.raises(UnknownInstance) as before:
+        oracle.prefix_label(outside)
+    by_value = [oracle.prefix_label(PrefixInstance(z.problem, z.steps))
+                for z in vc.universe]
+    vc.prefix_trie()
+    for i, z in enumerate(vc.universe):
+        copy = PrefixInstance(z.problem, z.steps)
+        assert copy == z and copy is not z
+        assert vc.index_of(z) == vc.index_of(copy) == i
+        label = oracle.prefix_label(z)
+        assert type(label) is bool
+        assert label == oracle.prefix_label(copy) == by_value[i] == vc.accepts(5, z)
+    with pytest.raises(UnknownInstance) as after:
+        oracle.prefix_label(outside)
+    assert str(after.value) == str(before.value) == (
+        f"instance not in universe: {outside}")
+
+
 def test_oracle_matches_tables():
     vc = families.indicator_class(3)
     oracle = Oracle(vc, 1)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import exhaust
-from cotverify import dimensions, families
+from cotverify import dimensions, families, reductions
 from cotverify.core import (
     ALL_CORRECT,
     CostVector,
@@ -143,6 +143,30 @@ def test_river_learner_learns_hidden_edges():
         mistakes += 1
         assert mistakes <= len(hidden) + 1
     assert learner.predict(trace) == ALL_CORRECT
+
+
+def test_river_learner_reads_the_fail_token_as_a_fault():
+    """On a fail-token river class the learner faults the first F step, so
+    wrapped as a prefix learner it stays sound on every universe prefix,
+    F-padded ones included, for every target, and pays at most one
+    completeness mistake per hidden edge."""
+    edges = families.river_edges()
+    revealed = edges[:16]
+    vc = families.with_fail_token(families.river_crossing_class(revealed, 4))
+    F = vc.fail_token
+    hidden = len(set(edges) - set(revealed))
+    sequence = list(vc.universe)
+    assert any(F in z.steps for z in sequence)
+    for target in range(len(vc)):
+        learner = reductions.prefix_from_cot(RiverCrossingSound(vc, revealed), vc)
+        transcript = run_online(learner, Oracle(vc, target), sequence)
+        assert len(transcript.rounds) == len(sequence)
+        assert transcript.soundness_mistakes == 0
+        assert transcript.completeness_mistakes <= hidden
+    river = RiverCrossingSound(vc, revealed)
+    start = next(t.id for t in vc.sigma if t.name == "0000")
+    assert river.predict(CotInstance(0, (start, F, F, F))) == 2
+    assert river.predict(CotInstance(0, (F,) * 4)) == 1
 
 
 def test_conservative_wrapper_snapshot_discipline():
