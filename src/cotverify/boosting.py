@@ -14,13 +14,13 @@ randomness flows through explicitly passed generators.
 
 The walkers advance a node of the class's prefix trie
 (``VerifierClass.prefix_trie``) rather than building a prefix per
-candidate.  At each node they draw from per-node tables that the prover
-set compiles once per class (``ProverSet.draw_tables``): a draw is a
+candidate.  At each node they draw from tables that the prover set
+builds once per class and node (``ProverSet.draw_tables``): a draw is a
 ``getrandbits`` rejection loop, exactly as ``Random.randrange`` makes
 it, and one bisection straight to the candidate's universe index.
 Verdicts, learners and the labeling oracle see the universe's own
-``PrefixInstance``.  A prefix outside the universe is built afresh and
-drawn from through ``Prover.sample``, as before.  ``build_vhp`` wraps
+``PrefixInstance``.  A prefix outside the universe is built afresh, and
+the tables after it are keyed by its steps.  ``build_vhp`` wraps
 every frozen snapshot in a ``CachedVerdict`` that asks the snapshot once
 per universe index, so S2 testing and the boosted prover pay for each
 distinct prefix once.
@@ -138,44 +138,49 @@ class ProverSet:
         # references; a copy builds its own on first use.
         return ProverSet, (self.provers, self.alpha)
 
-    def draw_tables(self, vclass: VerifierClass) -> dict:
-        """The provers' draw tables on vclass's prefix trie, keyed by trie
-        node and filled by node_draws as walks reach the nodes.  Cached
-        per class for as long as the class lives."""
+    def draw_tables(self, vclass: VerifierClass) -> "_DrawTables":
+        """The provers' draw tables on vclass, kept as long as vclass
+        lives."""
         tables = self._tables.get(vclass)
         if tables is None:
-            tables = self._tables[vclass] = {}
+            tables = self._tables[vclass] = _DrawTables(self.provers, vclass)
         return tables
 
-    def node_draws(self, vclass: VerifierClass, node: Optional[int]) -> tuple:
-        """The provers' draw tables at a trie node, one per prover in
-        order: (denom, bits, thresholds, kids, tokens), where a draw r
-        picks tokens[j] for j = bisect_right(thresholds, r) and kids[j] is
-        the universe index of the child prefix, None if it is outside the
-        universe.  A prover without a distribution at the node has None,
-        and so has every prover at node None, a walk that has left the
-        trie: those candidates are drawn through Prover.sample."""
-        if node is None:
-            return (None,) * len(self.provers)
-        tables = self.draw_tables(vclass)
-        draws = tables.get(node)
-        if draws is None:
-            child = vclass.prefix_trie()
-            if node < 0:
-                key = (-1 - node, ())
-            else:
-                z = vclass.universe[node]
-                key = (z.problem, z.steps)
-            draws = []
-            for prover in self.provers:
-                compiled = prover._compiled.get(key)
-                if compiled is None:
-                    draws.append(None)
-                    continue
+
+class _DrawTables(dict):
+    """A prover set's draw tables on one class, built on first use.
+
+    Keyed by the node of the prefix in the class's prefix trie, or by
+    (problem, steps) for a prefix off the trie.  The value holds, per
+    prover, its distribution for the next step compiled as by _compile
+    over (universe index of the extended prefix, None outside the trie;
+    token) pairs, or None if the prover has no distribution there.  Holds
+    no reference to the class, which keys it in ProverSet._tables.
+    """
+
+    def __init__(self, provers: tuple, vclass: VerifierClass):
+        super().__init__()
+        self.provers = provers
+        self.universe, self.child = vclass.universe, vclass.prefix_trie()
+
+    def __missing__(self, key):
+        if isinstance(key, tuple):
+            node, (x, steps) = None, key
+        elif key < 0:
+            node, x, steps = key, -1 - key, ()
+        else:
+            node, z = key, self.universe[key]
+            x, steps = z.problem, z.steps
+        draws = []
+        for prover in self.provers:
+            compiled = prover._compiled.get((x, steps))
+            if compiled is not None:
                 denom, bits, thresholds, tokens = compiled
-                kids = [child.get((node, tok)) for tok in tokens]
-                draws.append((denom, bits, thresholds, kids, tokens))
-            draws = tables[node] = tuple(draws)
+                compiled = (denom, bits, thresholds,
+                            [(self.child.get((node, tok)), tok)
+                             for tok in tokens])
+            draws.append(compiled)
+        draws = self[key] = tuple(draws)
         return draws
 
 
@@ -353,17 +358,6 @@ class CachedVerdict:
         return v
 
 
-class _Uncached:
-    """The verdict list of a verdict that is not a CachedVerdict: every
-    entry is unknown, so the walk asks the verdict itself."""
-
-    def __getitem__(self, i: int) -> None:
-        return None
-
-
-_UNCACHED = _Uncached()
-
-
 def _prefixes(vclass: VerifierClass, trace: CotInstance):
     """The prefixes of trace, shortest first: the universe's own objects,
     and new PrefixInstances once the trace leaves the prefix trie."""
@@ -381,46 +375,38 @@ def _walk(
     h: Verdict,
     vclass: VerifierClass,
     rng: random.Random,
-    budget: Optional[int] = None,
 ) -> tuple[ProofOutcome, list[PrefixInstance]]:
     """weak_to_strong, also returning every rejected candidate in order,
     repeats included."""
-    if budget is None:
-        budget = _budget(prover_set, params, vclass.L)
+    budget = _budget(prover_set, params, vclass.L)
     tables, universe = prover_set.draw_tables(vclass), vclass.universe
-    provers, getrandbits = prover_set.provers, rng.getrandbits
+    getrandbits = rng.getrandbits
     if isinstance(h, CachedVerdict):
-        verdicts, verdict_at = h.verdicts, h.at
+        verdict_at = h.at
     else:
-        verdicts = _UNCACHED
-
         def verdict_at(i):
             return h(universe[i])
     rejected = []
     node, steps = -1 - x, ()
     for _ell in range(vclass.L):
-        draws = tables.get(node) or prover_set.node_draws(vclass, node)
+        draws = tables[(x, steps) if node is None else node]
         advanced = False
         for _attempt in range(budget):
-            for prover, d in zip(provers, draws):
+            for d in draws:
                 if d is None:
-                    tok, i = prover.sample(x, steps, rng), None
-                else:
-                    # Random.randrange(denom), inlined; see _draw.
-                    denom, bits, thresholds, kids, tokens = d
+                    raise KeyError((x, steps))
+                # _draw, inlined.
+                denom, bits, thresholds, outcomes = d
+                r = getrandbits(bits)
+                while r >= denom:
                     r = getrandbits(bits)
-                    while r >= denom:
-                        r = getrandbits(bits)
-                    j = bisect_right(thresholds, r)
-                    i, tok = kids[j], tokens[j]
+                i, tok = outcomes[bisect_right(thresholds, r)]
                 if i is None:
                     z = PrefixInstance(x, steps + (tok,))
                     accepted = h(z)
                 else:
                     z = universe[i]
-                    accepted = verdicts[i]
-                    if accepted is None:
-                        accepted = verdict_at(i)
+                    accepted = verdict_at(i)
                 if accepted:
                     node, steps = i, z.steps
                     advanced = True
@@ -440,17 +426,15 @@ def weak_to_strong(
     h: Verdict,
     vclass: VerifierClass,
     rng: random.Random,
-    budget: Optional[int] = None,
 ) -> ProofOutcome:
     """Assemble a proof step by step, keeping h-approved candidates.
 
     At each step, sample one candidate from every prover, take the first
-    accepted one, and retry up to the timeout budget (timeout_budget's
-    unless given); any step that exhausts its budget aborts the whole
-    attempt.  h sees the universe's own PrefixInstance for every
-    candidate in the universe.
+    accepted one, and retry up to the timeout budget; any step that
+    exhausts its budget aborts the whole attempt.  h sees the universe's
+    own PrefixInstance for every candidate in the universe.
     """
-    return _walk(x, prover_set, params, h, vclass, rng, budget)[0]
+    return _walk(x, prover_set, params, h, vclass, rng)[0]
 
 
 def process_example(
@@ -460,37 +444,27 @@ def process_example(
     learner,
     oracle: Oracle,
     rng: random.Random,
-    budget: Optional[int] = None,
 ) -> tuple[ProcessResult, int]:
     """One training pass: sample steps, cross-check learner vs oracle.
 
     The first learner/oracle disagreement triggers exactly one learner
     update and ends the example.  Returns the outcome and the number of
-    labeling-oracle calls made.  budget defaults to timeout_budget's.
+    labeling-oracle calls made.
     """
     vclass = oracle.vclass
-    if budget is None:
-        budget = _budget(prover_set, params, vclass.L)
+    budget = _budget(prover_set, params, vclass.L)
     tables, universe = prover_set.draw_tables(vclass), vclass.universe
-    provers, getrandbits = prover_set.provers, rng.getrandbits
     calls = 0
     node, steps = -1 - x, ()
     path = []
     for _ell in range(vclass.L):
-        draws = tables.get(node) or prover_set.node_draws(vclass, node)
+        draws = tables[(x, steps) if node is None else node]
         accepted = None
         for _attempt in range(budget):
-            for prover, d in zip(provers, draws):
+            for d in draws:
                 if d is None:
-                    tok, i = prover.sample(x, steps, rng), None
-                else:
-                    # Random.randrange(denom), inlined; see _draw.
-                    denom, bits, thresholds, kids, tokens = d
-                    r = getrandbits(bits)
-                    while r >= denom:
-                        r = getrandbits(bits)
-                    j = bisect_right(thresholds, r)
-                    i, tok = kids[j], tokens[j]
+                    raise KeyError((x, steps))
+                i, tok = _draw(d, rng)
                 z = PrefixInstance(x, steps + (tok,)) if i is None else universe[i]
                 v = learner.predict(z)
                 y = oracle.prefix_label(z)
@@ -523,18 +497,15 @@ def test_hypothesis(
     h: Verdict,
     oracle: Oracle,
     rng: random.Random,
-    budget: Optional[int] = None,
 ) -> tuple[TestResult, int]:
     """Dry-run the frozen hypothesis at test time and grade it.
 
     A returned proof with any oracle-rejected prefix is a soundness
     mistake; an abstention after rejecting any truly correct prefix is a
     completeness mistake.  The oracle is asked about the rejected
-    candidates in order, repeats included.  budget defaults to
-    timeout_budget's.
+    candidates in order, repeats included.
     """
-    outcome, rejected = _walk(x, prover_set, params, h, oracle.vclass, rng,
-                              budget)
+    outcome, rejected = _walk(x, prover_set, params, h, oracle.vclass, rng)
     calls = 0
     if outcome.is_proof:
         for z in _prefixes(oracle.vclass, outcome.trace):
@@ -558,15 +529,10 @@ class BoostedProver:
     params: BoostParams
     vclass: VerifierClass
     report: dict = field(default_factory=dict)
-    budget: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.budget = _budget(self.prover_set, self.params, self.vclass.L)
 
     def generate(self, x: int, rng: random.Random) -> ProofOutcome:
         return weak_to_strong(
-            x, self.prover_set, self.params, self.verifier, self.vclass, rng,
-            self.budget,
+            x, self.prover_set, self.params, self.verifier, self.vclass, rng
         )
 
 
@@ -597,7 +563,6 @@ def _test_snapshot(
     rng: random.Random,
     limits: tuple[int, int],
     cap: int,
-    budget: int,
 ) -> tuple[int, int, int, int]:
     """Test one snapshot on the S2 problems until it passes an error limit.
 
@@ -608,8 +573,7 @@ def _test_snapshot(
     sound_limit, complete_limit = limits
     sound = complete = tested = total_calls = 0
     for x in problems:
-        result, calls = test_hypothesis(x, prover_set, params, h, oracle, rng,
-                                        budget)
+        result, calls = test_hypothesis(x, prover_set, params, h, oracle, rng)
         assert calls <= cap, "oracle budget exceeded while testing"
         total_calls += calls
         tested += 1
@@ -651,7 +615,6 @@ def build_vhp(
     if not isinstance(learner, ConservativeWrapper):
         learner = ConservativeWrapper(learner)
     vclass = oracle.vclass
-    budget = _budget(prover_set, params, vclass.L)
     cap = oracle_call_cap(params, prover_set, vclass.L)
     problem_dist = _compile(D, "D")
 
@@ -661,7 +624,7 @@ def build_vhp(
     for _ in range(n1):
         x = _draw(problem_dist, rng)
         result, calls = process_example(
-            x, prover_set, params, learner, oracle, rng, budget
+            x, prover_set, params, learner, oracle, rng
         )
         assert calls <= cap, "oracle budget exceeded while training"
         train_calls += calls
@@ -681,7 +644,7 @@ def build_vhp(
     problems = [_draw(problem_dist, rng) for _ in range(n2)]
     sound_errs, complete_errs, tested, test_calls = map(list, zip(*(
         _test_snapshot(h, problems, prover_set, params, oracle, stream,
-                       limits, cap, budget)
+                       limits, cap)
         for h, stream in zip(produced, streams)
     )))
     selected = next(

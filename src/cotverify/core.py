@@ -477,8 +477,7 @@ class Oracle:
             )
 
     def prefix_label(self, z: PrefixInstance) -> PrefixLabel:
-        vclass = self.vclass
-        return vclass.yes_masks[vclass.index_of(z)] >> self.target & 1 == 1
+        return self.vclass.accepts(self.target, z)
 
     def cot_label(self, z: CotInstance) -> Label:
         """The target's first rejected prefix of z, as cot_label_of, read

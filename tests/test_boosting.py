@@ -147,22 +147,27 @@ _THIRDS = {0: Fraction(1, 3**50), 1: Fraction(0), 5: 1 - Fraction(1, 3**50)}
                 {2: Fraction(3, 2**64), 4: 1 - Fraction(3, 2**64)}], seed=1)
 @example(dists=[_THIRDS, {5: Fraction(1)}], seed=2)
 @settings(max_examples=60, deadline=None)
-def test_node_tables_draw_what_randrange_draws(dists, seed):
-    """The walkers' per-node draw tables give the randrange reference's
+def test_walkers_draw_what_randrange_draws(dists, seed):
+    """The walkers' inlined draws give the randrange reference's
     candidates and leave the generator where the reference leaves it:
     _walk on a universe holding only the tokens 0..3, so some candidates
     are outside it, and process_example on one holding every token."""
     provers = boosting.ProverSet(
         tuple(boosting.Prover({(0, ()): d}) for d in dists), Fraction(1))
-    budget = 25
+    # A tiny epsilon' makes the timeout budget about 23 rounds.
+    params = boosting.BoostParams(epsilon=Fraction(1, 5),
+                                  epsilon_prime=Fraction(1, 10**10),
+                                  delta=Fraction(1, 5))
+    budget = boosting.timeout_budget(provers.alpha, provers.k, 1,
+                                     params.epsilon_prime)
+    assert budget >= 23
     expected, ref = [], random.Random(seed)
     for _ in range(budget):
         expected += [_sample_categorical(d, ref) for d in dists]
 
     rng = random.Random(seed)
     outcome, rejected = boosting._walk(
-        0, provers, scenario.build_params(), lambda z: False,
-        _one_step_class(range(4)), rng, budget)
+        0, provers, params, lambda z: False, _one_step_class(range(4)), rng)
     assert not outcome.is_proof
     assert [z.steps[0] for z in rejected] == expected
     assert rng.getstate() == ref.getstate()
@@ -177,8 +182,7 @@ def test_node_tables_draw_what_randrange_draws(dists, seed):
 
     rng = random.Random(seed)
     result, calls = boosting.process_example(
-        0, provers, scenario.build_params(), Recorder(), Oracle(full, 0), rng,
-        budget)
+        0, provers, params, Recorder(), Oracle(full, 0), rng)
     assert (result, calls) == (boosting.ProcessResult.TIMEOUT, len(expected))
     assert [z.steps[0] for z in seen] == expected
     assert all(z is full.universe[z.steps[0]] for z in seen)
@@ -201,6 +205,30 @@ def test_draw_tables_are_cached_per_class_and_not_pickled(setup):
     del vc
     gc.collect()
     assert len(prover_set._tables) == 0
+
+
+def test_a_missing_distribution_fails_on_its_turn(setup):
+    """A prover without a distribution after a prefix raises KeyError
+    when it is first asked to draw there, not before."""
+    provers = boosting.ProverSet((
+        boosting.Prover({(0, ()): {3: Fraction(1)}}),
+        boosting.Prover({(1, ()): {3: Fraction(1)}}),
+    ), Fraction(1, 2))
+    vc = _one_step_class(range(4))
+    outcome = boosting.weak_to_strong(0, provers, setup["params"],
+                                      lambda z: True, vc, random.Random(0))
+    assert outcome == boosting.ProofOutcome(CotInstance(0, (3,)))
+    with pytest.raises(KeyError):
+        boosting.weak_to_strong(0, provers, setup["params"], lambda z: False,
+                                vc, random.Random(0))
+
+    class Rejecting:
+        def predict(self, z):
+            return False
+
+    with pytest.raises(KeyError):
+        boosting.process_example(0, provers, setup["params"], Rejecting(),
+                                 Oracle(vc, 0), random.Random(0))
 
 
 def test_exact_categorical_sampler_frequencies():
@@ -760,6 +788,31 @@ def test_off_universe_prefixes(setup):
     assert outcome == boosting.ProofOutcome(CotInstance(0, (1, 1)))
     assert seen == [PrefixInstance(0, (1,)), PrefixInstance(0, (1, 1))]
     assert seen[1] is not gappy.universe[2]
+
+
+def test_off_trie_walks_draw_from_their_own_steps(setup):
+    """Once a walk has left the trie, each step draws from the prover's
+    distribution after the walk's own steps, as the reference walker
+    does."""
+    vc, params = setup["vclass"], setup["params"]
+    half = Fraction(1, 2)
+    stray = boosting.ProverSet((boosting.Prover({
+        (0, ()): {2: Fraction(1)},
+        (0, (2,)): {0: half, 1: half},
+        (0, (2, 0)): {1: Fraction(1)},
+        (0, (2, 1)): {0: Fraction(1)},
+        (0, (2, 0, 1)): {0: Fraction(1)},
+        (0, (2, 1, 0)): {1: Fraction(1)},
+    }),), Fraction(1, 2))
+    traces = set()
+    for seed in range(8):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        outcome = boosting.weak_to_strong(0, stray, params, lambda z: True,
+                                          vc, rng)
+        assert outcome == _reference_walk(0, stray, params, lambda z: True,
+                                          vc, ref_rng)[0]
+        traces.add(outcome.trace.steps)
+    assert traces == {(2, 0, 1, 0), (2, 1, 0, 1)}
 
 
 def test_cli_parser_is_built_once(tmp_path, capsys):
