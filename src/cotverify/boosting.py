@@ -265,15 +265,25 @@ def ceil_log(r, s, q) -> int:
         prec *= 2
 
 
-@functools.lru_cache(maxsize=128)
 def timeout_budget(alpha, k: int, L: int, epsilon_prime) -> int:
     """ceil((1/alpha) ln(kL/epsilon')), exactly, clamped to at least 1."""
     return max(1, ceil_log(0, 1 / Fraction(alpha),
                            Fraction(k * L) / Fraction(epsilon_prime)))
 
 
+# Every walk looks its budget up: keyed by ints, the cache avoids hashing
+# alpha and epsilon' as Fractions, which cost more than the rest of a
+# lookup.
+@functools.lru_cache(maxsize=128)
+def _budget_of(alpha_num, alpha_den, k, L, eps_num, eps_den) -> int:
+    return timeout_budget(Fraction(alpha_num, alpha_den), k, L,
+                          Fraction(eps_num, eps_den))
+
+
 def _budget(prover_set: ProverSet, params: BoostParams, L: int) -> int:
-    return timeout_budget(prover_set.alpha, prover_set.k, L, params.epsilon_prime)
+    alpha, eps = prover_set.alpha, params.epsilon_prime
+    return _budget_of(alpha.numerator, alpha.denominator, prover_set.k, L,
+                      eps.numerator, eps.denominator)
 
 
 def oracle_call_cap(params: BoostParams, prover_set: ProverSet, L: int) -> int:

@@ -48,11 +48,27 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# Rationals as text: an integer, "p/q" or a decimal such as "0.25", with
+# no exponent, so a short string cannot name a huge number.
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
+def rational_text(s: str) -> Fraction:
+    """s as an exact rational in the grammar above; ValueError otherwise,
+    a zero denominator included."""
+    if _RATIONAL_TEXT.fullmatch(s):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational: {s!r}")
+
+
 def parse_frac(s: str) -> Fraction:
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {s!r}")
+        return rational_text(s)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def label_json(label):
@@ -456,10 +472,8 @@ def cmd_duel(args) -> int:
 
 # Scenario numbers: integers are JSON integers (not bools), integer keys
 # of JSON objects their canonical decimal text, and rationals a JSON
-# integer or a string such as "1/2" or "0.25" (no exponent, so a short
-# string cannot name a huge number).
+# integer or a string in rational_text's grammar.
 _INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
 def _load_scenario(path: str):
@@ -482,10 +496,10 @@ def _load_scenario(path: str):
     def rational(value, what: str) -> Fraction:
         if type(value) is int:
             return Fraction(value)
-        if type(value) is str and _RATIONAL_TEXT.fullmatch(value):
+        if type(value) is str:
             try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):
+                return rational_text(value)
+            except ValueError:
                 pass
         raise fail(f'{what} must be an integer or a rational string like "1/2"')
 

@@ -458,7 +458,7 @@ def cot_instances(vclass: VerifierClass) -> list[CotInstance]:
         if len(z.steps) != vclass.L:
             continue
         c = CotInstance(z.problem, z.steps)
-        if all(p in vclass for p in c.prefixes()):
+        if len(vclass.prefix_masks(c)) == vclass.L:
             out.append(c)
     return out
 

@@ -91,12 +91,29 @@ def _cached(vclass: VerifierClass, key, make):
     return obj
 
 
+def _distinct_masks(vclass: VerifierClass) -> tuple[list[int], list[tuple]]:
+    """The class's distinct yes-masks in order of first appearance, and
+    for each the (instance, mask) pair of the first universe instance that
+    has it.  A repeated mask adds no split: the engines and the walker
+    scan these instead of the whole universe."""
+
+    def make():
+        first = {}
+        for z, m in zip(vclass.universe, vclass.yes_masks):
+            first.setdefault(m, z)
+        return list(first), [(z, m) for m, z in first.items()]
+
+    return _cached(vclass, "distinct_masks", make)
+
+
 def _ldim_engine(vclass: VerifierClass):
-    return _cached(vclass, "ldim", lambda: kernels.ldim_engine(vclass.yes_masks))
+    return _cached(vclass, "ldim",
+                   lambda: kernels.ldim_engine(_distinct_masks(vclass)[0]))
 
 
 def _sc_engine(vclass: VerifierClass):
-    return _cached(vclass, "sc", lambda: kernels.sc_engine(vclass.yes_masks))
+    return _cached(vclass, "sc",
+                   lambda: kernels.sc_engine(_distinct_masks(vclass)[0]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -110,7 +127,7 @@ def integer_costs(*costs: Fraction) -> tuple[int, ...]:
 
 def _wsc_engine(vclass: VerifierClass, ws: int, wc: int):
     return _cached(vclass, ("wsc", ws, wc),
-                   lambda: kernels.wsc_engine(vclass.yes_masks, ws, wc))
+                   lambda: kernels.wsc_engine(_distinct_masks(vclass)[0], ws, wc))
 
 
 def _scl_label_masks(vclass: VerifierClass) -> list[tuple[tuple[Label, int], ...]]:
@@ -220,7 +237,7 @@ def _extract(kind: str, value, moves, state, budget=None) -> MistakeTree:
 
 
 def _splits(vclass: VerifierClass, alive: int):
-    for z, m in zip(vclass.universe, vclass.yes_masks):
+    for z, m in _distinct_masks(vclass)[1]:
         y = m & alive
         if y and y != alive:
             yield z, y, alive ^ y
@@ -277,27 +294,31 @@ def _extract_scl(vs: VersionSpace, costs: CostVector) -> MistakeTree:
     costs.require_ordered()
     ws, wc, wl, _ = integer_costs(costs.gamma_s, costs.gamma_c, costs.gamma_l)
     eng = _scl_engine(vs.vclass, ws, wc, wl)
-    traces = cot_instances(vs.vclass)
-    partitions = _scl_label_masks(vs.vclass)
+    traces = list(zip(cot_instances(vs.vclass), _scl_label_masks(vs.vclass)))
 
-    def moves(alive):
-        for z, parts in zip(traces, partitions):
+    # A state is (alive, live), where live holds the (trace, partition)
+    # pairs that split the parent: no other trace can split alive.
+    def moves(state):
+        alive, live = state
+        live = [(z, parts) for z, parts in live
+                if sum(1 for _, m in parts if m & alive) > 1]
+        for z, parts in live:
             groups = [(label, m & alive) for label, m in parts if m & alive]
-            if len(groups) < 2:
-                continue
             faults = [g for g in groups if is_fault(g[0])]
             if len(faults) < len(groups):  # ALL_CORRECT comes last
                 correct = groups[-1][1]
                 for label, sub in faults:
                     yield z, min(ws + eng.value(sub), wc + eng.value(correct)), (
-                        (label, "s", costs.gamma_s, sub),
-                        (ALL_CORRECT, "c", costs.gamma_c, correct))
+                        (label, "s", costs.gamma_s, (sub, live)),
+                        (ALL_CORRECT, "c", costs.gamma_c, (correct, live)))
             for i, (la, a) in enumerate(faults):
                 for lb, b in faults[i + 1:]:
                     yield z, wl + min(eng.value(a), eng.value(b)), (
-                        (la, "l", costs.gamma_l, a), (lb, "l", costs.gamma_l, b))
+                        (la, "l", costs.gamma_l, (a, live)),
+                        (lb, "l", costs.gamma_l, (b, live)))
 
-    return _extract("SCL", eng.value, moves, vs.alive)
+    return _extract("SCL", lambda state: eng.value(state[0]), moves,
+                    (vs.alive, traces))
 
 
 def extract_witness(

@@ -12,8 +12,15 @@ best split meets its own bound, skips a split whose child bounds cannot
 beat its best, skips a projection it has already tried, and leaves the
 second child unsolved when the first one already caps the split at its
 best.  Every child that is solved is solved exactly, so each memo entry
-is the exact value of its version space, never a bound.  The SCL game is
-not pruned.
+is the exact value of its version space, never a bound.  The engines take
+the class's distinct yes-masks: a repeated mask always projects onto a
+split the node has already tried.
+
+The SCL game is not pruned, but a node hands its children only the traces
+that split it: a trace whose label groups leave the node whole leaves
+every subset of it whole too.  Each label group's child is solved once
+per trace, and the trace's best moves follow from those values: the s/c
+move from the largest fault value, the l/l move from the second largest.
 """
 
 from __future__ import annotations
@@ -166,11 +173,12 @@ def wsc_ldim(yes_masks, alive, ws, wc, memo, stats):
 def scl_ldim(label_masks, alive, ws, wc, wl, memo, stats):
     """Sequence-level weighted dimension.
 
-    label_masks: per instance, the (label, mask) pairs of
+    label_masks: per trace, the (label, mask) pairs of
     VerifierClass.cot_partition: label 1..L for a first-fault location and
-    ALL_CORRECT for a fully correct trace.  At each node the adversary
-    commits to either two distinct fault labels (two l-edges) or one fault
-    label plus the all-correct label (s-edge + c-edge).
+    ALL_CORRECT, last, for a fully correct trace.  At each node the
+    adversary commits to either two distinct fault labels (two l-edges) or
+    one fault label plus the all-correct label (s-edge + c-edge).  The
+    list may omit any trace that does not split alive.
     """
     if alive & (alive - 1) == 0:
         return 0
@@ -179,40 +187,38 @@ def scl_ldim(label_masks, alive, ws, wc, wl, memo, stats):
         stats[1] += 1
         return cached
     stats[0] += 1
-    best = 0
+    # The groups partition the verifiers, so a trace splits alive unless
+    # the first group meeting alive holds all of it.
+    live = []
     for pairs in label_masks:
-        faults = []
-        inf_mask = 0
+        for _, m in pairs:
+            if m & alive:
+                if m & alive != alive:
+                    live.append(pairs)
+                break
+    best = 0
+    for pairs in live:
+        # The two largest fault values and the all-correct value; -1 for
+        # none.  A live trace has two groups, so with an all-correct group
+        # it has a fault group too.
+        top = second = inf_val = -1
         for label, m in pairs:
             sub = m & alive
             if not sub:
                 continue
-            if sub == alive:
-                # Every alive verifier agrees on this instance, so no
-                # second label survives and no branch is possible here.
-                faults = []
-                inf_mask = 0
-                break
+            v = scl_ldim(live, sub, ws, wc, wl, memo, stats)
             if label == ALL_CORRECT:
-                inf_mask = sub
-            else:
-                faults.append(sub)
-        if inf_mask:
-            inf_val = scl_ldim(label_masks, inf_mask, ws, wc, wl, memo, stats)
-            for sub in faults:
-                cand = min(
-                    ws + scl_ldim(label_masks, sub, ws, wc, wl, memo, stats),
-                    wc + inf_val,
-                )
-                if cand > best:
-                    best = cand
-        for i in range(len(faults)):
-            vi = scl_ldim(label_masks, faults[i], ws, wc, wl, memo, stats)
-            for j in range(i + 1, len(faults)):
-                vj = scl_ldim(label_masks, faults[j], ws, wc, wl, memo, stats)
-                cand = wl + min(vi, vj)
-                if cand > best:
-                    best = cand
+                inf_val = v
+            elif v > top:
+                top, second = v, top
+            elif v > second:
+                second = v
+        if inf_val >= 0:
+            cand = min(ws + top, wc + inf_val)
+            if cand > best:
+                best = cand
+        if second >= 0 and wl + second > best:
+            best = wl + second
     memo[alive] = best
     return best
 
@@ -253,7 +259,7 @@ class WscEngine(_Engine):
 class SclEngine(_Engine):
     def __init__(self, label_masks, ws, wc, wl):
         super().__init__()
-        self.label_masks = [list(pairs) for pairs in label_masks]
+        self.label_masks = list(label_masks)
         self.ws = ws
         self.wc = wc
         self.wl = wl

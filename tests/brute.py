@@ -125,7 +125,7 @@ def bf_wsc_ldim(vclass, ws, wc, ids=None):
     return best
 
 
-def bf_scl_ldim(vclass, ws, wc, wl):
+def bf_scl_ldim(vclass, ws, wc, wl, ids=None):
     """Largest guaranteed weight of a shattered sequence-level tree.
 
     Branch pairs per full trace: one fault label against all-correct
@@ -169,7 +169,7 @@ def bf_scl_ldim(vclass, ws, wc, wl):
         memo[key] = found
         return found
 
-    full = frozenset(range(len(vclass)))
+    full = _start(vclass, ids)
     best = 0
     for w in _weight_grid((ws, wc, wl), len(vclass) - 1):
         if w > best and exists(full, w):

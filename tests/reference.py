@@ -1,0 +1,206 @@
+"""Reference searches and walkers for the kernel equivalence tests.
+
+These are the minimax searches and witness walkers as they were before
+the engines took distinct yes-masks and the SCL game filtered its traces:
+every node scans every universe instance (SC, WSC, plain) or every full
+trace (SCL), and the SCL node asks for each pair's children separately.
+The library must reproduce their values, memo tables, node counts and
+witness trees exactly.
+"""
+
+from cotverify import dimensions
+from cotverify.core import ALL_CORRECT, cot_instances, is_fault
+from cotverify.kernels import sc_bound, wsc_bound
+
+
+def ref_sc(yes_masks, alive, k, memo, stats):
+    if alive & (alive - 1) == 0:
+        return 0
+    key = (alive, k)
+    cached = memo.get(key)
+    if cached is not None:
+        stats[1] += 1
+        return cached
+    stats[0] += 1
+    bound = sc_bound(alive.bit_count(), k)
+    best = 0
+    seen = set()
+    for m in yes_masks:
+        y = m & alive
+        if y == 0 or y == alive or y in seen:
+            continue
+        seen.add(y)
+        if k == 0:
+            if y.bit_count() <= best:
+                continue
+            cand = 1 + ref_sc(yes_masks, y, 0, memo, stats)
+        else:
+            n = alive ^ y
+            if 1 + min(sc_bound(y.bit_count(), k),
+                       sc_bound(n.bit_count(), k - 1)) <= best:
+                continue
+            straight = 1 + ref_sc(yes_masks, n, k - 1, memo, stats)
+            if straight <= best:
+                continue
+            cand = min(straight, 1 + ref_sc(yes_masks, y, k, memo, stats))
+        if cand > best:
+            best = cand
+            if best >= bound:
+                break
+    memo[key] = best
+    return best
+
+
+def ref_wsc(yes_masks, alive, ws, wc, memo, stats):
+    if alive & (alive - 1) == 0:
+        return 0
+    cached = memo.get(alive)
+    if cached is not None:
+        stats[1] += 1
+        return cached
+    stats[0] += 1
+    bound = wsc_bound(alive.bit_count(), ws, wc)
+    best = 0
+    seen = set()
+    for m in yes_masks:
+        y = m & alive
+        if y == 0 or y == alive or y in seen:
+            continue
+        seen.add(y)
+        n = alive ^ y
+        if min(ws + wsc_bound(n.bit_count(), ws, wc),
+               wc + wsc_bound(y.bit_count(), ws, wc)) <= best:
+            continue
+        straight = ws + ref_wsc(yes_masks, n, ws, wc, memo, stats)
+        if straight <= best:
+            continue
+        cand = min(straight, wc + ref_wsc(yes_masks, y, ws, wc, memo, stats))
+        if cand > best:
+            best = cand
+            if best >= bound:
+                break
+    memo[alive] = best
+    return best
+
+
+def ref_scl(label_masks, alive, ws, wc, wl, memo, stats):
+    if alive & (alive - 1) == 0:
+        return 0
+    cached = memo.get(alive)
+    if cached is not None:
+        stats[1] += 1
+        return cached
+    stats[0] += 1
+    best = 0
+    for pairs in label_masks:
+        faults = []
+        inf_mask = 0
+        for label, m in pairs:
+            sub = m & alive
+            if not sub:
+                continue
+            if sub == alive:
+                faults = []
+                inf_mask = 0
+                break
+            if label == ALL_CORRECT:
+                inf_mask = sub
+            else:
+                faults.append(sub)
+        if inf_mask:
+            inf_val = ref_scl(label_masks, inf_mask, ws, wc, wl, memo, stats)
+            for sub in faults:
+                cand = min(ws + ref_scl(label_masks, sub, ws, wc, wl, memo, stats),
+                           wc + inf_val)
+                best = max(best, cand)
+        for i in range(len(faults)):
+            vi = ref_scl(label_masks, faults[i], ws, wc, wl, memo, stats)
+            for j in range(i + 1, len(faults)):
+                vj = ref_scl(label_masks, faults[j], ws, wc, wl, memo, stats)
+                best = max(best, wl + min(vi, vj))
+    memo[alive] = best
+    return best
+
+
+def scl_label_masks(vclass):
+    """Per full trace, in cot_instances order, its label partition."""
+    return [vclass.cot_partition(z) for z in cot_instances(vclass)]
+
+
+# Walkers: the first realizing move of a full scan, built by the library's
+# own tree builder (dimensions._extract), with values from the references.
+
+def _full_scan_moves(vclass, value, ws, wc, gamma_s, gamma_c):
+    def moves(alive):
+        for z, m in zip(vclass.universe, vclass.yes_masks):
+            y = m & alive
+            if y and y != alive:
+                n = alive ^ y
+                yield z, min(ws + value(n), wc + value(y)), (
+                    (True, "c", gamma_c, y), (False, "s", gamma_s, n))
+    return moves
+
+
+def ref_extract_weighted(vs, kind, ws, wc, gamma_s, gamma_c):
+    """The plain (ws = wc = 1) or WSC witness of a full-universe scan."""
+    memo, stats = {}, [0, 0]
+
+    def value(alive):
+        return ref_wsc(vs.vclass.yes_masks, alive, ws, wc, memo, stats)
+
+    return dimensions._extract(
+        kind, value, _full_scan_moves(vs.vclass, value, ws, wc, gamma_s, gamma_c),
+        vs.alive)
+
+
+def ref_extract_sc(vs, k, one):
+    memo, stats = {}, [0, 0]
+    masks = vs.vclass.yes_masks
+
+    def value(alive, budget):
+        return ref_sc(masks, alive, budget, memo, stats)
+
+    def moves(state):
+        alive, budget = state
+        for z, m in zip(vs.vclass.universe, masks):
+            y = m & alive
+            if not y or y == alive:
+                continue
+            n = alive ^ y
+            curvy = (True, "c", one, (y, budget))
+            if budget == 0:
+                yield z, 1 + value(y, 0), (curvy, (False, "s", one, None))
+            else:
+                yield z, 1 + min(value(y, budget), value(n, budget - 1)), (
+                    curvy, (False, "s", one, (n, budget - 1)))
+
+    return dimensions._extract("SC", lambda state: value(*state), moves,
+                               (vs.alive, k), budget=k)
+
+
+def ref_extract_scl(vs, costs, ws, wc, wl):
+    label_masks = scl_label_masks(vs.vclass)
+    traces = cot_instances(vs.vclass)
+    memo, stats = {}, [0, 0]
+
+    def value(alive):
+        return ref_scl(label_masks, alive, ws, wc, wl, memo, stats)
+
+    def moves(alive):
+        for z, parts in zip(traces, label_masks):
+            groups = [(label, m & alive) for label, m in parts if m & alive]
+            if len(groups) < 2:
+                continue
+            faults = [g for g in groups if is_fault(g[0])]
+            if len(faults) < len(groups):
+                correct = groups[-1][1]
+                for label, sub in faults:
+                    yield z, min(ws + value(sub), wc + value(correct)), (
+                        (label, "s", costs.gamma_s, sub),
+                        (ALL_CORRECT, "c", costs.gamma_c, correct))
+            for i, (la, a) in enumerate(faults):
+                for lb, b in faults[i + 1:]:
+                    yield z, wl + min(value(a), value(b)), (
+                        (la, "l", costs.gamma_l, a), (lb, "l", costs.gamma_l, b))
+
+    return dimensions._extract("SCL", value, moves, vs.alive)

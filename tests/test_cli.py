@@ -3,6 +3,7 @@
 import copy
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -63,6 +64,31 @@ def test_dim_kinds(class_files, capsys):
         assert run_cli("dim", "--class", class_files["indicator4"],
                        "--kind", kind, *extra) == 0
         assert json.loads(capsys.readouterr().out)["value"] == expect
+
+
+@pytest.mark.parametrize("text", ["1e4000", "1e100000", "1.5e3", "inf",
+                                  "nan", "0x10", " 1", "1/0", "1" * 5000])
+def test_cost_flags_refuse_text_outside_the_rational_grammar(class_files,
+                                                             capsys, text):
+    # The scenario loader's grammar: no exponent, so a short flag cannot
+    # name a number too large to print; refused before any search runs.
+    assert run_cli("dim", "--class", class_files["indicator4"], "--kind",
+                   "wsc", "--gamma-s", text) == cli.EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"cotverify dim: error: argument --gamma-s: not a rational: {text!r}"]
+
+
+def test_cost_flags_take_integers_ratios_and_decimals(class_files, capsys):
+    # At equal costs gamma the weighted dimension of indicator4 is 2 gamma.
+    for text, gamma in [("3", 3), ("3/2", Fraction(3, 2)),
+                        ("1.50", Fraction(3, 2)), ("007", 7)]:
+        assert cli.rational_text(text) == gamma
+        assert run_cli("dim", "--class", class_files["indicator4"], "--kind",
+                       "wsc", "--gamma-s", text, "--gamma-c", text) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["value"] == cli.frac_str(2 * gamma)
 
 
 def test_run_subcommand(class_files, tmp_path, capsys):

@@ -201,6 +201,14 @@ def test_memo_entries_are_exact_values():
         dimensions.ldim_value(vs)
         for alive, v in dimensions._ldim_engine(vc).memo.items():
             assert v == brute.bf_ldim(vc, _ids(alive)), trial
+    for trial in range(12):
+        vc = brute.random_full_trace_class(rng, max_h=6, L=2)
+        for ws, wc, wl in ((1, 1, 1), (3, 2, 1), (2, 1, 0)):
+            costs = CostVector(Fraction(ws), Fraction(wc), Fraction(wl))
+            dimensions.scl_value(VersionSpace.full(vc), costs)
+            for alive, v in dimensions._scl_engine(vc, ws, wc, wl).memo.items():
+                assert v == brute.bf_scl_ldim(vc, ws, wc, wl, _ids(alive)), (
+                    trial, ws, wc, wl)
 
 
 def test_complement_32_is_solved_in_linear_nodes():
