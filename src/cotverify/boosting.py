@@ -12,15 +12,16 @@ integer below the common denominator and one bisection; alpha-goodness
 is verified by exhaustive table scan rather than assumed.  All
 randomness flows through explicitly passed generators.
 
-The walkers advance a node of the class's prefix trie
-(``VerifierClass.prefix_trie``) rather than building a prefix per
-candidate.  At each node they draw from tables that the prover set
-builds once per class and node (``ProverSet.draw_tables``): a draw is a
-``getrandbits`` rejection loop, exactly as ``Random.randrange`` makes
-it, and one bisection straight to the candidate's universe index.
-Verdicts, learners and the labeling oracle see the universe's own
-``PrefixInstance``.  A prefix outside the universe is built afresh, and
-the tables after it are keyed by its steps.  ``build_vhp`` wraps
+The walkers advance a prefix's universe index rather than building a
+prefix per candidate.  At each prefix they draw from tables that the
+prover set builds once per class and prefix (``ProverSet.draw_tables``):
+a draw is a ``getrandbits`` rejection loop, exactly as
+``Random.randrange`` makes it, and one bisection straight to the
+candidate's universe index, found once in the class's index
+(``VerifierClass.index``).  Verdicts, learners and the labeling oracle
+see the universe's own ``PrefixInstance``.  A prefix outside the
+universe is built afresh, and the tables after it are keyed by its
+steps until the walk reaches the universe again.  ``build_vhp`` wraps
 every frozen snapshot in a ``CachedVerdict`` that asks the snapshot once
 per universe index, so S2 testing and the boosted prover pay for each
 distinct prefix once.
@@ -150,34 +151,34 @@ class ProverSet:
 class _DrawTables(dict):
     """A prover set's draw tables on one class, built on first use.
 
-    Keyed by the node of the prefix in the class's prefix trie, or by
-    (problem, steps) for a prefix off the trie.  The value holds, per
-    prover, its distribution for the next step compiled as by _compile
-    over (universe index of the extended prefix, None outside the trie;
-    token) pairs, or None if the prover has no distribution there.  Holds
-    no reference to the class, which keys it in ProverSet._tables.
+    Keyed by the prefix's universe index, or by (problem, steps) for a
+    prefix outside the universe, the empty one included.  The value
+    holds, per prover, its distribution for the next step compiled as by
+    _compile over (universe index of the extended prefix, None outside
+    the universe; token) pairs, or None if the prover has no
+    distribution there.  Holds the class's universe and index but no
+    reference to the class, which keys it in ProverSet._tables.
     """
 
     def __init__(self, provers: tuple, vclass: VerifierClass):
         super().__init__()
         self.provers = provers
-        self.universe, self.child = vclass.universe, vclass.prefix_trie()
+        self.universe, self.index = vclass.universe, vclass.index
 
     def __missing__(self, key):
         if isinstance(key, tuple):
-            node, (x, steps) = None, key
-        elif key < 0:
-            node, x, steps = key, -1 - key, ()
+            x, steps = key
         else:
-            node, z = key, self.universe[key]
+            z = self.universe[key]
             x, steps = z.problem, z.steps
+        index = self.index
         draws = []
         for prover in self.provers:
             compiled = prover._compiled.get((x, steps))
             if compiled is not None:
                 denom, bits, thresholds, tokens = compiled
                 compiled = (denom, bits, thresholds,
-                            [(self.child.get((node, tok)), tok)
+                            [(index.get((x, steps + (tok,))), tok)
                              for tok in tokens])
             draws.append(compiled)
         draws = self[key] = tuple(draws)
@@ -370,12 +371,12 @@ class CachedVerdict:
 
 def _prefixes(vclass: VerifierClass, trace: CotInstance):
     """The prefixes of trace, shortest first: the universe's own objects,
-    and new PrefixInstances once the trace leaves the prefix trie."""
-    child, universe = vclass.prefix_trie(), vclass.universe
-    node = -1 - trace.problem
-    for ell, tok in enumerate(trace.steps, 1):
-        node = child.get((node, tok))
-        yield trace.prefix(ell) if node is None else universe[node]
+    and a new PrefixInstance for each prefix outside the universe."""
+    index, universe = vclass.index, vclass.universe
+    x, steps = trace.problem, trace.steps
+    for ell in range(1, len(steps) + 1):
+        i = index.get((x, steps[:ell]))
+        yield trace.prefix(ell) if i is None else universe[i]
 
 
 def _walk(
@@ -397,7 +398,7 @@ def _walk(
         def verdict_at(i):
             return h(universe[i])
     rejected = []
-    node, steps = -1 - x, ()
+    node, steps = None, ()
     for _ell in range(vclass.L):
         draws = tables[(x, steps) if node is None else node]
         advanced = False
@@ -465,7 +466,7 @@ def process_example(
     budget = _budget(prover_set, params, vclass.L)
     tables, universe = prover_set.draw_tables(vclass), vclass.universe
     calls = 0
-    node, steps = -1 - x, ()
+    node, steps = None, ()
     path = []
     for _ell in range(vclass.L):
         draws = tables[(x, steps) if node is None else node]

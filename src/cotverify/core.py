@@ -95,10 +95,6 @@ class NoHypothesisQualified(CotVerifyError):
     pass
 
 
-class OracleUnavailable(CotVerifyError):
-    pass
-
-
 @dataclass(frozen=True)
 class StepToken:
     id: int
@@ -173,7 +169,8 @@ class VerifierClass:
     The universe is kept in canonical order: sorted by (problem id, prefix
     length, lexicographic steps).  The class is stored as one yes-mask per
     universe instance: bit h of yes_masks[i] is set iff verifier h accepts
-    universe[i].
+    universe[i].  index maps each instance's (problem, steps) to its
+    universe index: every lookup and every prefix walk reads it.
     """
 
     def __init__(
@@ -194,13 +191,11 @@ class VerifierClass:
         self.n_verifiers = n_verifiers
         self.fail_token = fail_token
         self._validate()
-        self._index = {z: i for i, z in enumerate(self.universe)}
-        # Universe index by object identity, filled by prefix_trie: sound
-        # because self.universe keeps every one of these objects alive.
-        self._ids: dict[int, int] = {}
-        self._partitions: dict[CotInstance, tuple[tuple[Label, int], ...]] = {}
-        self._prefix_masks: dict[CotInstance, tuple[int, ...]] = {}
-        self._trie: Optional[dict[tuple[int, int], int]] = None
+        self.index: dict[tuple[int, tuple[int, ...]], int] = {
+            (z.problem, z.steps): i for i, z in enumerate(self.universe)}
+        # Per-trace caches, keyed by (problem, steps) like the index.
+        self._partitions: dict[tuple, tuple[tuple[Label, int], ...]] = {}
+        self._prefix_masks: dict[tuple, tuple[int, ...]] = {}
         self._verifiers: Optional[tuple[Verifier, ...]] = None
 
     def _validate(self):
@@ -296,41 +291,21 @@ class VerifierClass:
         return self.n_verifiers
 
     def index_of(self, z: PrefixInstance) -> int:
-        """z's universe index: by identity for the universe's own objects
-        once prefix_trie has been built, else by value."""
-        i = self._ids.get(id(z))
-        if i is not None:
-            return i
+        """z's universe index; UnknownInstance if z is outside it."""
         try:
-            return self._index[z]
+            return self.index[z.problem, z.steps]
         except KeyError:
             raise UnknownInstance(f"instance not in universe: {z}") from None
 
     def __contains__(self, z: PrefixInstance) -> bool:
-        return z in self._index
-
-    def prefix_trie(self) -> dict[tuple[int, int], int]:
-        """The universe as a prefix trie: child[(node, token)] is the index
-        of the prefix extending node's prefix by token, where node is a
-        universe index or -1 - problem for the empty prefix.  A prefix
-        whose parent is outside the universe has no entry.  Built on first
-        use and cached, together with index_of's identity map."""
-        if self._trie is None:
-            child = {}
-            for i, z in enumerate(self.universe):
-                parent = (-1 - z.problem if len(z.steps) == 1 else
-                          self._index.get(PrefixInstance(z.problem, z.steps[:-1])))
-                if parent is not None:
-                    child[(parent, z.steps[-1])] = i
-            self._trie = child
-            self._ids = {id(z): i for i, z in enumerate(self.universe)}
-        return self._trie
+        return (z.problem, z.steps) in self.index
 
     def accepts(self, verifier_id: int, z: PrefixInstance) -> PrefixLabel:
         return self.yes_masks[self.index_of(z)] >> verifier_id & 1 == 1
 
     def cot_label_of(self, verifier_id: int, z: CotInstance) -> Label:
-        """First prefix of z the verifier rejects, ALL_CORRECT if none.
+        """First prefix of z the verifier rejects, ALL_CORRECT if none,
+        read from the cached prefix masks.
 
         The per-verifier reference for cot_partition.
         """
@@ -338,24 +313,27 @@ class VerifierClass:
             raise UnknownInstance(
                 f"trace length {len(z.steps)} != L={self.L}"
             )
-        for ell in range(1, self.L + 1):
-            if not self.yes_masks[self.index_of(z.prefix(ell))] >> verifier_id & 1:
-                return fault_at(ell)
+        masks = self.prefix_masks(z)
+        for ell, yes in enumerate(masks, 1):
+            if not yes >> verifier_id & 1:
+                return ell
+        self.read_past(z, masks)
         return ALL_CORRECT
 
     def prefix_masks(self, z: CotInstance) -> tuple[int, ...]:
         """The yes-masks of z's prefixes, shortest first, up to the first
         prefix outside the universe: a caller that reads further calls
         read_past.  Cached per trace."""
-        masks = self._prefix_masks.get(z)
+        key = (z.problem, z.steps)
+        masks = self._prefix_masks.get(key)
         if masks is None:
-            out = []
+            index, out = self.index, []
             for ell in range(1, len(z.steps) + 1):
-                i = self._index.get(z.prefix(ell))
+                i = index.get((z.problem, z.steps[:ell]))
                 if i is None:
                     break
                 out.append(self.yes_masks[i])
-            masks = self._prefix_masks[z] = tuple(out)
+            masks = self._prefix_masks[key] = tuple(out)
         return masks
 
     def read_past(self, z: CotInstance, masks: tuple[int, ...]) -> None:
@@ -369,7 +347,8 @@ class VerifierClass:
         """The verifiers grouped by derived label on z: (label, mask) pairs
         in label order, one per label some verifier derives.  Cached per
         trace."""
-        part = self._partitions.get(z)
+        key = (z.problem, z.steps)
+        part = self._partitions.get(key)
         if part is not None:
             return part
         if len(z.steps) != self.L:
@@ -390,7 +369,7 @@ class VerifierClass:
         if accepted:
             self.read_past(z, masks)
             groups.append((ALL_CORRECT, accepted))
-        part = self._partitions[z] = tuple(groups)
+        part = self._partitions[key] = tuple(groups)
         return part
 
     def full_mask(self) -> int:
@@ -480,27 +459,8 @@ class Oracle:
         return self.vclass.accepts(self.target, z)
 
     def cot_label(self, z: CotInstance) -> Label:
-        """The target's first rejected prefix of z, as cot_label_of, read
-        from the class's cached prefix masks."""
-        vclass, target = self.vclass, self.target
-        if len(z.steps) != vclass.L:
-            raise UnknownInstance(
-                f"trace length {len(z.steps)} != L={vclass.L}"
-            )
-        masks = vclass.prefix_masks(z)
-        for ell, yes in enumerate(masks, 1):
-            if not yes >> target & 1:
-                return ell
-        vclass.read_past(z, masks)
-        return ALL_CORRECT
-
-    def prefix_correct(self, z: PrefixInstance) -> bool:
-        """True iff every step of the prefix is correct (cumulative)."""
-        masks, bit = self.vclass.yes_masks, 1 << self.target
-        return all(
-            masks[self.vclass.index_of(PrefixInstance(z.problem, z.steps[:i]))] & bit
-            for i in range(1, len(z.steps) + 1)
-        )
+        """The target's first rejected prefix of z."""
+        return self.vclass.cot_label_of(self.target, z)
 
 
 class MistakeKind(Enum):
@@ -649,24 +609,25 @@ def validate_fail_token(vclass: VerifierClass) -> None:
 
     For every universe prefix ending in the fail token whose strict prefix
     is correct under at least one verifier in the class, every verifier
-    must reject it.
+    must reject it.  The verifiers that find the strict prefix correct are
+    the AND of its prefixes' yes-masks; a prefix the walk reaches while
+    some verifier is still correct must be in the universe.
     """
     if vclass.fail_token is None:
         raise FailTokenRequired("class declares no fail token")
-    F = vclass.fail_token
-    for z in vclass.universe:
+    F, index, yes_masks = vclass.fail_token, vclass.index, vclass.yes_masks
+    for i, z in enumerate(vclass.universe):
         if z.steps[-1] != F:
             continue
-        head = z.steps[:-1]
-        if head:
-            head_z = PrefixInstance(z.problem, head)
-            correct_for_someone = any(
-                Oracle(vclass, h).prefix_correct(head_z)
-                for h in range(len(vclass))
-            )
-        else:
-            correct_for_someone = True
-        if correct_for_someone and vclass.yes_masks[vclass.index_of(z)] != 0:
+        correct = vclass.full_mask()
+        for ell in range(1, len(z.steps)):
+            if not correct:
+                break
+            j = index.get((z.problem, z.steps[:ell]))
+            if j is None:  # index_of raises UnknownInstance
+                vclass.index_of(PrefixInstance(z.problem, z.steps[:ell]))
+            correct &= yes_masks[j]
+        if correct and yes_masks[i]:
             raise FailTokenInvalid(
                 f"some verifier accepts fail-token step after correct "
                 f"prefix at {z}"

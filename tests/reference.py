@@ -5,11 +5,21 @@ the engines took distinct yes-masks and the SCL game filtered its traces:
 every node scans every universe instance (SC, WSC, plain) or every full
 trace (SCL), and the SCL node asks for each pair's children separately.
 The library must reproduce their values, memo tables, node counts and
-witness trees exactly.
+witness trees exactly.  ref_validate_fail_token is the fail-token check
+as it was before it read the class's (problem, steps) index: one walk
+per verifier over the head's prefixes.
 """
 
 from cotverify import dimensions
-from cotverify.core import ALL_CORRECT, cot_instances, is_fault
+from cotverify.core import (
+    ALL_CORRECT,
+    FailTokenInvalid,
+    FailTokenRequired,
+    PrefixInstance,
+    UnknownInstance,
+    cot_instances,
+    is_fault,
+)
 from cotverify.kernels import sc_bound, wsc_bound
 
 
@@ -204,3 +214,39 @@ def ref_extract_scl(vs, costs, ws, wc, wl):
                         (la, "l", costs.gamma_l, a), (lb, "l", costs.gamma_l, b))
 
     return dimensions._extract("SCL", value, moves, vs.alive)
+
+
+def ref_validate_fail_token(vclass):
+    if vclass.fail_token is None:
+        raise FailTokenRequired("class declares no fail token")
+    position = {z: i for i, z in enumerate(vclass.universe)}
+
+    def index_of(z):
+        try:
+            return position[z]
+        except KeyError:
+            raise UnknownInstance(f"instance not in universe: {z}") from None
+
+    def prefix_correct(h, z):
+        return all(
+            vclass.yes_masks[index_of(PrefixInstance(z.problem, z.steps[:i]))]
+            >> h & 1
+            for i in range(1, len(z.steps) + 1)
+        )
+
+    F = vclass.fail_token
+    for z in vclass.universe:
+        if z.steps[-1] != F:
+            continue
+        head = z.steps[:-1]
+        if head:
+            head_z = PrefixInstance(z.problem, head)
+            correct_for_someone = any(
+                prefix_correct(h, head_z) for h in range(len(vclass)))
+        else:
+            correct_for_someone = True
+        if correct_for_someone and vclass.yes_masks[index_of(z)] != 0:
+            raise FailTokenInvalid(
+                f"some verifier accepts fail-token step after correct "
+                f"prefix at {z}"
+            )

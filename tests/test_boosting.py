@@ -764,16 +764,14 @@ def test_off_universe_prefixes(setup):
             boosting.test_hypothesis(0, stray, params, h, oracle,
                                      random.Random(1))
 
-    # A universe missing (0, (1,)): its child (0, (1, 1)) has no trie
-    # entry, and a walk through (1,) hands the verdict new prefixes.
+    # A universe missing (0, (1,)): a walk through (1,) hands the verdict
+    # a new prefix there, then the universe's own (0, (1, 1)).
     sigma = [StepToken(0), StepToken(1)]
     gappy = VerifierClass.build(sigma, [Problem(0)], 2, {
         PrefixInstance(0, (0,)): [True],
         PrefixInstance(0, (0, 1)): [True],
         PrefixInstance(0, (1, 1)): [True],
     })
-    assert gappy._trie is None
-    assert gappy.prefix_trie() == {(-1, 0): 0, (0, 1): 1}
     ones = boosting.ProverSet((boosting.Prover({
         (0, ()): {1: Fraction(1)}, (0, (1,)): {1: Fraction(1)}}),),
         Fraction(1, 2))
@@ -783,17 +781,20 @@ def test_off_universe_prefixes(setup):
         seen.append(z)
         return True
 
-    outcome = boosting.weak_to_strong(0, ones, params, accept_all, gappy,
-                                      random.Random(2))
+    rng, ref_rng = random.Random(2), random.Random(2)
+    outcome = boosting.weak_to_strong(0, ones, params, accept_all, gappy, rng)
     assert outcome == boosting.ProofOutcome(CotInstance(0, (1, 1)))
     assert seen == [PrefixInstance(0, (1,)), PrefixInstance(0, (1, 1))]
-    assert seen[1] is not gappy.universe[2]
+    assert seen[1] is gappy.universe[2]
+    assert outcome == _reference_walk(0, ones, params, lambda z: True, gappy,
+                                      ref_rng)[0]
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_off_trie_walks_draw_from_their_own_steps(setup):
-    """Once a walk has left the trie, each step draws from the prover's
-    distribution after the walk's own steps, as the reference walker
-    does."""
+    """Once a walk has left the universe, each step draws from the
+    prover's distribution after the walk's own steps, as the reference
+    walker does."""
     vc, params = setup["vclass"], setup["params"]
     half = Fraction(1, 2)
     stray = boosting.ProverSet((boosting.Prover({

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -164,6 +165,54 @@ def test_boost_deterministic_reports(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
     report = json.loads(open(out1).read())
     assert report["bounds_hold"]["incorrect_zero"] is True
+
+
+def test_boost_with_an_abstain_bound_above_one(tmp_path, capsys):
+    """With alpha 1 no problem is verifiably good, so gamma is 0 and the
+    abstain bound 1 - gamma + eps_c + eps_s + eps' exceeds 1: every
+    abstain rate is within it."""
+    doc = json.loads(open(scenario.write_scenario_files(tmp_path)).read())
+    path = tmp_path / "alpha1.json"
+    path.write_text(json.dumps(dict(doc, alpha="1")))
+    assert run_cli("boost", "--scenario", str(path), "--verify-alpha") == 0
+    assert json.loads(capsys.readouterr().out)["gamma"] == "0/1"
+    assert run_cli("boost", "--scenario", str(path), "--seed", "0",
+                   "--trials", "100") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert Fraction(report["abstain_bound"]) > 1
+    assert report["bounds_hold"]["abstain_within_3se"] is True
+
+
+def test_boost_rejects_fewer_than_one_trial(tmp_path, capsys):
+    path = scenario.write_scenario_files(tmp_path)
+    for trials in ("0", "-5"):
+        assert run_cli("boost", "--scenario", path, "--trials",
+                       trials) == cli.EXIT_INVALID
+        assert "--trials must be at least 1" in _one_error_line(capsys)
+
+
+def test_exact_3se_rule_agrees_with_the_float_rule():
+    """cli.within_3se decides rate <= bound + 3 sqrt(bound (1 - bound) / n)
+    exactly; on a grid of rates, bounds in [0, 1] and trial counts it
+    agrees with the float formula wherever the two sides are not within
+    1e-9 of each other."""
+    compared = 0
+    for n in (1, 2, 7, 50, 200):
+        for k in range(n + 1):
+            rate = Fraction(k, n)
+            for j in range(41):
+                bound = Fraction(j, 40)
+                b = float(bound)
+                limit = b + 3 * math.sqrt(b * (1 - b) / n)
+                if abs(float(rate) - limit) < 1e-9:
+                    continue
+                compared += 1
+                assert cli.within_3se(rate, bound, n) == (
+                    float(rate) <= limit), (rate, bound, n)
+    assert compared > 10000
+    assert cli.within_3se(Fraction(1), Fraction(21, 20), 200)
+    assert cli.within_3se(Fraction(1, 2), Fraction(1, 4), 3)
+    assert not cli.within_3se(Fraction(1, 2), Fraction(1, 4), 200)
 
 
 def test_boost_rejects_scenario_target_out_of_range(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Domain-type behavior: instances, version spaces, mistake taxonomy."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute
+import reference
 from cotverify import families
 from cotverify.core import (
     ALL_CORRECT,
+    CotVerifyError,
     NO,
     YES,
     CostVector,
@@ -167,29 +170,24 @@ def test_cot_partition_matches_cot_label_of(seed, L, fail_token):
 
 
 def test_oracle_labels_by_identity_and_by_value():
-    """Once the prefix trie is built, the oracle finds the universe's own
-    prefixes by identity; an equal but distinct prefix gets the same label
-    by value, and a prefix outside the universe raises the same error as
-    before."""
+    """The universe's own prefixes and equal but distinct copies of them
+    get the same universe index and the same label, and a prefix outside
+    the universe raises UnknownInstance."""
     vc = families.singleton_bitstring_class(3)
     oracle = Oracle(vc, 5)
-    outside = PrefixInstance(0, (0, 2))
-    with pytest.raises(UnknownInstance) as before:
-        oracle.prefix_label(outside)
-    by_value = [oracle.prefix_label(PrefixInstance(z.problem, z.steps))
-                for z in vc.universe]
-    vc.prefix_trie()
     for i, z in enumerate(vc.universe):
         copy = PrefixInstance(z.problem, z.steps)
         assert copy == z and copy is not z
         assert vc.index_of(z) == vc.index_of(copy) == i
+        assert z in vc and copy in vc
         label = oracle.prefix_label(z)
         assert type(label) is bool
-        assert label == oracle.prefix_label(copy) == by_value[i] == vc.accepts(5, z)
-    with pytest.raises(UnknownInstance) as after:
+        assert label == oracle.prefix_label(copy) == vc.accepts(5, z)
+    outside = PrefixInstance(0, (0, 2))
+    assert outside not in vc
+    with pytest.raises(UnknownInstance) as err:
         oracle.prefix_label(outside)
-    assert str(after.value) == str(before.value) == (
-        f"instance not in universe: {outside}")
+    assert str(err.value) == f"instance not in universe: {outside}"
 
 
 def test_oracle_matches_tables():
@@ -198,8 +196,9 @@ def test_oracle_matches_tables():
     assert oracle.prefix_label(PrefixInstance(0, (0,))) is True
     assert oracle.prefix_label(PrefixInstance(0, (1,))) is False
     assert oracle.cot_label(CotInstance(0, (0, 1, 0))) == ALL_CORRECT
-    assert oracle.prefix_correct(PrefixInstance(0, (0, 1)))
-    assert not oracle.prefix_correct(PrefixInstance(0, (1, 1)))
+    # Every step of (0, 1) is correct and the first step of (1, 1) is not.
+    assert oracle.cot_label(CotInstance(0, (0, 1, 1))) == 3
+    assert oracle.cot_label(CotInstance(0, (1, 1, 0))) == 1
 
 
 @given(
@@ -273,3 +272,43 @@ def test_validate_fail_token():
     validate_fail_token(vc)
     assert vc.fail_token == 2
     assert math.log2(len(vc)) == 2
+
+
+@st.composite
+def _fail_token_classes(draw):
+    """A small class whose last token is the fail token: every prefix
+    over the alphabet, or a random subset of them (a universe with gaps),
+    with random yes-masks, fail-token prefixes often rejected by all."""
+    n_tokens, n_problems = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    L, n = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    F = n_tokens - 1
+    prefixes = [PrefixInstance(x, steps) for x in range(n_problems)
+                for ell in range(1, L + 1)
+                for steps in itertools.product(range(n_tokens), repeat=ell)]
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(prefixes),
+                             max_size=len(prefixes)))
+        prefixes = [z for z, k in zip(prefixes, keep) if k] or prefixes[:1]
+    masks = [0 if z.steps[-1] == F and draw(st.booleans())
+             else draw(st.integers(0, (1 << n) - 1)) for z in prefixes]
+    return VerifierClass.from_masks(
+        [StepToken(t) for t in range(n_tokens)],
+        [Problem(x) for x in range(n_problems)], L,
+        zip(prefixes, masks), n, F)
+
+
+def _outcome(check, vc):
+    try:
+        check(vc)
+    except CotVerifyError as e:
+        return type(e), str(e)
+    return None
+
+
+@given(vc=_fail_token_classes())
+@settings(max_examples=300, deadline=None)
+def test_validate_fail_token_matches_the_per_verifier_reference(vc):
+    """One AND of yes-masks along each head gives the per-verifier
+    walk's result: no error, or the same exception type and message."""
+    assert _outcome(validate_fail_token, vc) == _outcome(
+        reference.ref_validate_fail_token, vc)
