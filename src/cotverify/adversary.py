@@ -10,7 +10,6 @@ all-but-one completeness lower bound on the complement class.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from . import families
@@ -26,7 +25,7 @@ from .core import (
     fault_at,
     is_fault,
 )
-from .dimensions import MistakeTree, TreeNode, verify_shattered
+from .dimensions import MistakeTree, _min_paths, _remainder, verify_shattered
 
 
 def _learner_space(learner) -> VersionSpace:
@@ -34,28 +33,6 @@ def _learner_space(learner) -> VersionSpace:
     if vs is not None:
         return vs
     return VersionSpace.full(learner.vclass)
-
-
-def _min_paths(root: Optional[TreeNode]) -> dict[int, Fraction]:
-    """Every subtree's minimum root-to-leaf path weight, keyed by the id of
-    its root node, from one iterative post-order pass."""
-    below: dict[int, Fraction] = {}
-    stack = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if node is None or id(node) in below:
-            continue
-        if children_done:
-            below[id(node)] = min(_remainder(e, below) for e in node.edges)
-        else:
-            stack.append((node, True))
-            stack.extend((e.child, False) for e in node.edges)
-    return below
-
-
-def _remainder(edge, below: dict[int, Fraction]) -> Fraction:
-    """The edge's weight plus the minimum path weight below its child."""
-    return edge.weight + (0 if edge.child is None else below[id(edge.child)])
 
 
 def play_tree_adversary(tree: MistakeTree, learner) -> Transcript:

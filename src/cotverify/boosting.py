@@ -148,6 +148,23 @@ class ProverSet:
         return tables
 
 
+class MissingDistribution(KeyError):
+    """A prover has no next-step distribution at a prefix a walk reached."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _missing(prover_set: ProverSet, draws: tuple, x: int,
+             steps: tuple) -> MissingDistribution:
+    """The error for the first prover in draws without a distribution."""
+    j = draws.index(None)
+    name = prover_set.provers[j].name
+    return MissingDistribution(
+        f"prover {j}{f' ({name})' if name else ''} has no next-step "
+        f"distribution for problem {x} after steps {list(steps)}")
+
+
 class _DrawTables(dict):
     """A prover set's draw tables on one class, built on first use.
 
@@ -405,7 +422,7 @@ def _walk(
         for _attempt in range(budget):
             for d in draws:
                 if d is None:
-                    raise KeyError((x, steps))
+                    raise _missing(prover_set, draws, x, steps)
                 # _draw, inlined.
                 denom, bits, thresholds, outcomes = d
                 r = getrandbits(bits)
@@ -474,7 +491,7 @@ def process_example(
         for _attempt in range(budget):
             for d in draws:
                 if d is None:
-                    raise KeyError((x, steps))
+                    raise _missing(prover_set, draws, x, steps)
                 i, tok = _draw(d, rng)
                 z = PrefixInstance(x, steps + (tok,)) if i is None else universe[i]
                 v = learner.predict(z)

@@ -519,8 +519,15 @@ def _load_scenario(path: str):
         raise fail(f"k must be >= 0, got {k}")
     if type(doc["D"]) is not dict:
         raise fail("D must be an object")
-    D = {integer_key(p, "a D problem"): rational(w, "a D weight")
-         for p, w in doc["D"].items()}
+    problems, tokens = range(len(vc.problems)), range(len(vc.sigma))
+
+    def member(value: int, ids: range, what: str) -> int:
+        if value not in ids:
+            raise fail(f"{what} {value} is outside the class's 0..{len(ids) - 1}")
+        return value
+
+    D = {member(integer_key(p, "a D problem"), problems, "D problem"):
+         rational(w, "a D weight") for p, w in doc["D"].items()}
     if any(w < 0 for w in D.values()):
         raise fail("D weights must be nonnegative")
     if sum(D.values()) != 1:
@@ -539,11 +546,14 @@ def _load_scenario(path: str):
                 raise fail("a prover table row must be "
                            "[problem, [step, ...], {token: weight}]")
             p, steps, dist = row
-            key = (integer(p, "a prover-table problem"),
-                   tuple(integer(s, "a prover-table step") for s in steps))
+            key = (member(integer(p, "a prover-table problem"), problems,
+                          "prover-table problem"),
+                   tuple(member(integer(s, "a prover-table step"), tokens,
+                                "prover-table step") for s in steps))
             if key in table:
                 raise fail(f"repeated prover-table row for {row[:2]}")
-            table[key] = {integer_key(tok, "a prover-table token"):
+            table[key] = {member(integer_key(tok, "a prover-table token"),
+                                 tokens, "prover-table token"):
                           rational(w, "a prover-table weight")
                           for tok, w in dist.items()}
         provers.append(boosting.Prover(table, pd.get("name", "")))

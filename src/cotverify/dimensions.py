@@ -91,29 +91,29 @@ def _cached(vclass: VerifierClass, key, make):
     return obj
 
 
-def _distinct_masks(vclass: VerifierClass) -> tuple[list[int], list[tuple]]:
-    """The class's distinct yes-masks in order of first appearance, and
-    for each the (instance, mask) pair of the first universe instance that
-    has it.  A repeated mask adds no split: the engines and the walker
-    scan these instead of the whole universe."""
+def _distinct_masks(vclass: VerifierClass) -> dict[int, PrefixInstance]:
+    """The class's distinct yes-masks in order of first appearance, each
+    mapped to the first universe instance that has it.  A repeated mask
+    adds no split: the engines scan these instead of the whole universe,
+    and a witness node asks the instance of its realizing mask."""
 
     def make():
         first = {}
         for z, m in zip(vclass.universe, vclass.yes_masks):
             first.setdefault(m, z)
-        return list(first), [(z, m) for m, z in first.items()]
+        return first
 
     return _cached(vclass, "distinct_masks", make)
 
 
 def _ldim_engine(vclass: VerifierClass):
     return _cached(vclass, "ldim",
-                   lambda: kernels.ldim_engine(_distinct_masks(vclass)[0]))
+                   lambda: kernels.ldim_engine(list(_distinct_masks(vclass))))
 
 
 def _sc_engine(vclass: VerifierClass):
     return _cached(vclass, "sc",
-                   lambda: kernels.sc_engine(_distinct_masks(vclass)[0]))
+                   lambda: kernels.sc_engine(list(_distinct_masks(vclass))))
 
 
 @functools.lru_cache(maxsize=256)
@@ -127,7 +127,7 @@ def integer_costs(*costs: Fraction) -> tuple[int, ...]:
 
 def _wsc_engine(vclass: VerifierClass, ws: int, wc: int):
     return _cached(vclass, ("wsc", ws, wc),
-                   lambda: kernels.wsc_engine(_distinct_masks(vclass)[0], ws, wc))
+                   lambda: kernels.wsc_engine(list(_distinct_masks(vclass)), ws, wc))
 
 
 def _scl_label_masks(vclass: VerifierClass) -> list[tuple[tuple[Label, int], ...]]:
@@ -210,115 +210,107 @@ def scl_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimRe
     return DimResult(value, tree, stats)
 
 
-# Witness extraction walks the memoized game again, always following a
-# move whose exact value realizes the node's value, so the minimal path of
-# the returned tree meets the dimension with equality.  Each game gives its
-# moves once, as moves(state) yielding (instance, move value, edges) in
-# search order, each edge (label, kind, weight, child state); a child
-# state of None is a bare leaf.
+# Witness extraction follows the realizing move each engine recorded beside
+# a memo entry, so the minimal path of the returned tree meets the
+# dimension with equality and no child is solved again.  Each game turns a
+# recorded move into a node once, as expand(state, move) giving the
+# node's instance and its edges, each (label, kind, weight, child state);
+# a child state of None is a bare leaf, as is a state whose value is 0.
 
-def _extract(kind: str, value, moves, state, budget=None) -> MistakeTree:
-    if value(state) == 0:
+def _extract(kind: str, eng, state, solve, expand, budget=None) -> MistakeTree:
+    moves = eng.moves
+    if state not in moves:
+        solve()  # a cold root, which no query has solved yet
+    if moves.get(state) is None:
         raise NoWitness("dimension is 0")
 
     def build(state) -> Optional[TreeNode]:
-        v = value(state)
-        if v == 0:
+        move = moves.get(state)
+        if move is None:
             return None
-        for z, move_value, edges in moves(state):
-            if move_value == v:
-                return TreeNode(z, tuple(
-                    TreeEdge(label, k, w, None if child is None else build(child))
-                    for label, k, w, child in edges
-                ))
-        raise AssertionError("memoized value has no realizing move")
+        z, edges = expand(state, move)
+        children = []
+        for label, k, w, child in edges:
+            children.append(TreeEdge(label, k, w,
+                                     None if child is None else build(child)))
+        return TreeNode(z, tuple(children))
 
     return MistakeTree(kind, build(state), budget)
 
 
-def _splits(vclass: VerifierClass, alive: int):
-    for z, m in _distinct_masks(vclass)[1]:
+def _extract_weighted(kind: str, vs: VersionSpace, eng, gamma_s: Fraction,
+                      gamma_c: Fraction) -> MistakeTree:
+    """The prefix game's tree: a curvy YES edge and a straight NO edge."""
+    first = _distinct_masks(vs.vclass)
+
+    def expand(alive, m):
         y = m & alive
-        if y and y != alive:
-            yield z, y, alive ^ y
+        return first[m], ((True, "c", gamma_c, y), (False, "s", gamma_s, alive ^ y))
 
-
-def _weighted_moves(vclass: VerifierClass, eng, ws: int, wc: int,
-                    gamma_s: Fraction, gamma_c: Fraction):
-    """The prefix game's moves: a curvy YES edge and a straight NO edge."""
-
-    def moves(alive):
-        for z, y, n in _splits(vclass, alive):
-            yield z, min(ws + eng.value(n), wc + eng.value(y)), (
-                (True, "c", gamma_c, y), (False, "s", gamma_s, n))
-
-    return moves
+    return _extract(kind, eng, vs.alive, lambda: eng.value(vs.alive), expand)
 
 
 def _extract_plain(vs: VersionSpace) -> MistakeTree:
-    eng = _ldim_engine(vs.vclass)
     one = Fraction(1)
-    return _extract("plain", eng.value,
-                    _weighted_moves(vs.vclass, eng, 1, 1, one, one), vs.alive)
+    return _extract_weighted("plain", vs, _ldim_engine(vs.vclass), one, one)
 
 
 def _extract_wsc(vs: VersionSpace, costs: CostVector) -> MistakeTree:
     ws, wc, _ = integer_costs(costs.gamma_s, costs.gamma_c)
-    eng = _wsc_engine(vs.vclass, ws, wc)
-    moves = _weighted_moves(vs.vclass, eng, ws, wc,
-                            costs.gamma_s, costs.gamma_c)
-    return _extract("WSC", eng.value, moves, vs.alive)
+    return _extract_weighted("WSC", vs, _wsc_engine(vs.vclass, ws, wc),
+                             costs.gamma_s, costs.gamma_c)
 
 
 def _extract_sc(vs: VersionSpace, k: int) -> MistakeTree:
     eng = _sc_engine(vs.vclass)
+    first = _distinct_masks(vs.vclass)
     one = Fraction(1)
 
-    def moves(state):
+    def expand(state, m):
         alive, budget = state
-        for z, y, n in _splits(vs.vclass, alive):
-            curvy = (True, "c", one, (y, budget))
-            if budget == 0:
-                # At budget 0 the straight subtree is unconstrained, so a
-                # bare leaf keeps the tree shattered without adding depth.
-                yield z, 1 + eng.value(y, 0), (curvy, (False, "s", one, None))
-            else:
-                yield z, 1 + min(eng.value(y, budget), eng.value(n, budget - 1)), (
-                    curvy, (False, "s", one, (n, budget - 1)))
+        y = m & alive
+        # At budget 0 the straight subtree is unconstrained, so a bare
+        # leaf keeps the tree shattered without adding depth.
+        straight = None if budget == 0 else (alive ^ y, budget - 1)
+        return first[m], ((True, "c", one, (y, budget)),
+                          (False, "s", one, straight))
 
-    return _extract("SC", lambda state: eng.value(*state), moves,
-                    (vs.alive, k), budget=k)
+    return _extract("SC", eng, (vs.alive, k), lambda: eng.value(vs.alive, k),
+                    expand, budget=k)
 
 
 def _extract_scl(vs: VersionSpace, costs: CostVector) -> MistakeTree:
     costs.require_ordered()
     ws, wc, wl, _ = integer_costs(costs.gamma_s, costs.gamma_c, costs.gamma_l)
     eng = _scl_engine(vs.vclass, ws, wc, wl)
-    traces = list(zip(cot_instances(vs.vclass), _scl_label_masks(vs.vclass)))
+    memo = eng.memo
+    first = {}
+    for z, parts in zip(cot_instances(vs.vclass), _scl_label_masks(vs.vclass)):
+        first.setdefault(parts, z)
 
-    # A state is (alive, live), where live holds the (trace, partition)
-    # pairs that split the parent: no other trace can split alive.
-    def moves(state):
-        alive, live = state
-        live = [(z, parts) for z, parts in live
-                if sum(1 for _, m in parts if m & alive) > 1]
-        for z, parts in live:
-            groups = [(label, m & alive) for label, m in parts if m & alive]
-            faults = [g for g in groups if is_fault(g[0])]
-            if len(faults) < len(groups):  # ALL_CORRECT comes last
-                correct = groups[-1][1]
-                for label, sub in faults:
-                    yield z, min(ws + eng.value(sub), wc + eng.value(correct)), (
-                        (label, "s", costs.gamma_s, (sub, live)),
-                        (ALL_CORRECT, "c", costs.gamma_c, (correct, live)))
-            for i, (la, a) in enumerate(faults):
-                for lb, b in faults[i + 1:]:
-                    yield z, wl + min(eng.value(a), eng.value(b)), (
-                        (la, "l", costs.gamma_l, (a, live)),
-                        (lb, "l", costs.gamma_l, (b, live)))
+    def value(alive):
+        return memo[alive] if alive & (alive - 1) else 0
 
-    return _extract("SCL", lambda state: eng.value(state[0]), moves,
-                    (vs.alive, traces))
+    # The recorded trace's first move, s/c before l/l as the search
+    # weighs them, whose children's values realize the node.
+    def expand(alive, parts):
+        v = memo[alive]
+        groups = [(label, m & alive) for label, m in parts if m & alive]
+        faults = [g for g in groups if is_fault(g[0])]
+        if len(faults) < len(groups):  # ALL_CORRECT comes last
+            correct = groups[-1][1]
+            for label, sub in faults:
+                if min(ws + value(sub), wc + value(correct)) == v:
+                    return first[parts], (
+                        (label, "s", costs.gamma_s, sub),
+                        (ALL_CORRECT, "c", costs.gamma_c, correct))
+        for i, (la, a) in enumerate(faults):
+            for lb, b in faults[i + 1:]:
+                if wl + min(value(a), value(b)) == v:
+                    return first[parts], (
+                        (la, "l", costs.gamma_l, a), (lb, "l", costs.gamma_l, b))
+
+    return _extract("SCL", eng, vs.alive, lambda: eng.value(vs.alive), expand)
 
 
 def extract_witness(
@@ -436,13 +428,30 @@ def certified_value(tree: MistakeTree) -> Union[int, Fraction]:
         v = depth(tree.root, budget)
         return 0 if v is None else v
 
-    def weight(node: Optional[TreeNode]) -> Fraction:
-        if node is None:
-            return Fraction(0)
-        return min(e.weight + weight(e.child) for e in node.edges)
-
-    w = weight(tree.root)
+    w = _min_paths(tree.root)[id(tree.root)]
     return int(w) if tree.kind == "plain" else w
+
+
+def _min_paths(root: Optional[TreeNode]) -> dict[int, Fraction]:
+    """Every subtree's minimum root-to-leaf path weight, keyed by the id of
+    its root node, from one iterative post-order pass."""
+    below: dict[int, Fraction] = {}
+    stack = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if node is None or id(node) in below:
+            continue
+        if children_done:
+            below[id(node)] = min(_remainder(e, below) for e in node.edges)
+        else:
+            stack.append((node, True))
+            stack.extend((e.child, False) for e in node.edges)
+    return below
+
+
+def _remainder(edge: TreeEdge, below: dict[int, Fraction]) -> Fraction:
+    """The edge's weight plus the minimum path weight below its child."""
+    return edge.weight + (0 if edge.child is None else below[id(edge.child)])
 
 
 def min_leaf_recurrence(w: int, d: int) -> int:

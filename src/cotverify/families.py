@@ -55,10 +55,6 @@ def _bit_prefixes(L: int):
         yield from itertools.product((0, 1), repeat=ell)
 
 
-def _bits_name(bits: Sequence[int]) -> str:
-    return "".join(str(b) for b in bits)
-
-
 def singleton_bitstring_class(L: int, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
     """Correct proofs are single unknown length-L bitstrings.
 

@@ -1,8 +1,9 @@
 """Minimax kernels over bitmask version spaces, one engine per game.
 
 All version spaces are int bitmasks over verifier ids; costs arrive
-pre-scaled to integers.  Each game function takes a memo dict and a
-two-slot stats list [nodes_expanded, memo_hits] that it mutates in place.
+pre-scaled to integers.  Each game function takes a memo dict, a moves
+dict and a two-slot stats list [nodes_expanded, memo_hits] that it
+mutates in place, and the state to solve last.
 
 The SC and WSC searches are pruned by leaf-count bounds.  Every leaf of a
 shattered tree is consistent with a distinct verifier, so a version space
@@ -21,6 +22,14 @@ that split it: a trace whose label groups leave the node whole leaves
 every subset of it whole too.  Each label group's child is solved once
 per trace, and the trace's best moves follow from those values: the s/c
 move from the largest fault value, the l/l move from the second largest.
+
+Beside each memo entry the search records the node's realizing move: the
+first move in scan order that raised the node's best to its final value,
+or None for a value of 0.  For the prefix games that is the distinct
+yes-mask that splits the node, for SCL the label partition of the trace.
+A move before it in scan order has a lower value, so it is the first
+realizing move of a full scan, and the children it names were solved on
+the way.  Witness extraction follows these moves and searches nothing.
 """
 
 from __future__ import annotations
@@ -91,7 +100,7 @@ def wsc_bound(size, ws, wc):
     return weights[bisect_right(leaves, size) - 1]
 
 
-def sc_ldim(yes_masks, alive, k, memo, stats):
+def sc_ldim(yes_masks, memo, moves, stats, alive, k):
     """Budgeted dimension: curvy branches keep k, straight branches burn it.
 
     With k == 0 the straight subtree is unconstrained (any path through it
@@ -107,6 +116,7 @@ def sc_ldim(yes_masks, alive, k, memo, stats):
     stats[0] += 1
     bound = sc_bound(alive.bit_count(), k)
     best = 0
+    move = None
     seen = set()
     for m in yes_masks:
         y = m & alive
@@ -116,25 +126,26 @@ def sc_ldim(yes_masks, alive, k, memo, stats):
         if k == 0:
             if y.bit_count() <= best:  # 1 + sc_bound(|y|, 0) <= best
                 continue
-            cand = 1 + sc_ldim(yes_masks, y, 0, memo, stats)
+            cand = 1 + sc_ldim(yes_masks, memo, moves, stats, y, 0)
         else:
             n = alive ^ y
             if 1 + min(sc_bound(y.bit_count(), k),
                        sc_bound(n.bit_count(), k - 1)) <= best:
                 continue
-            straight = 1 + sc_ldim(yes_masks, n, k - 1, memo, stats)
+            straight = 1 + sc_ldim(yes_masks, memo, moves, stats, n, k - 1)
             if straight <= best:
                 continue
-            cand = min(straight, 1 + sc_ldim(yes_masks, y, k, memo, stats))
+            cand = min(straight, 1 + sc_ldim(yes_masks, memo, moves, stats, y, k))
         if cand > best:
-            best = cand
+            best, move = cand, m
             if best >= bound:
                 break
     memo[key] = best
+    moves[key] = move
     return best
 
 
-def wsc_ldim(yes_masks, alive, ws, wc, memo, stats):
+def wsc_ldim(yes_masks, ws, wc, memo, moves, stats, alive):
     """Weighted dimension with integer edge weights (ws straight, wc curvy).
 
     At unit costs this is the Littlestone dimension.
@@ -148,6 +159,7 @@ def wsc_ldim(yes_masks, alive, ws, wc, memo, stats):
     stats[0] += 1
     bound = wsc_bound(alive.bit_count(), ws, wc)
     best = 0
+    move = None
     seen = set()
     for m in yes_masks:
         y = m & alive
@@ -158,19 +170,20 @@ def wsc_ldim(yes_masks, alive, ws, wc, memo, stats):
         if min(ws + wsc_bound(n.bit_count(), ws, wc),
                wc + wsc_bound(y.bit_count(), ws, wc)) <= best:
             continue
-        straight = ws + wsc_ldim(yes_masks, n, ws, wc, memo, stats)
+        straight = ws + wsc_ldim(yes_masks, ws, wc, memo, moves, stats, n)
         if straight <= best:
             continue
-        cand = min(straight, wc + wsc_ldim(yes_masks, y, ws, wc, memo, stats))
+        cand = min(straight, wc + wsc_ldim(yes_masks, ws, wc, memo, moves, stats, y))
         if cand > best:
-            best = cand
+            best, move = cand, m
             if best >= bound:
                 break
     memo[alive] = best
+    moves[alive] = move
     return best
 
 
-def scl_ldim(label_masks, alive, ws, wc, wl, memo, stats):
+def scl_ldim(label_masks, ws, wc, wl, memo, moves, stats, alive):
     """Sequence-level weighted dimension.
 
     label_masks: per trace, the (label, mask) pairs of
@@ -197,6 +210,7 @@ def scl_ldim(label_masks, alive, ws, wc, wl, memo, stats):
                     live.append(pairs)
                 break
     best = 0
+    move = None
     for pairs in live:
         # The two largest fault values and the all-correct value; -1 for
         # none.  A live trace has two groups, so with an all-correct group
@@ -206,7 +220,7 @@ def scl_ldim(label_masks, alive, ws, wc, wl, memo, stats):
             sub = m & alive
             if not sub:
                 continue
-            v = scl_ldim(live, sub, ws, wc, wl, memo, stats)
+            v = scl_ldim(live, ws, wc, wl, memo, moves, stats, sub)
             if label == ALL_CORRECT:
                 inf_val = v
             elif v > top:
@@ -216,71 +230,46 @@ def scl_ldim(label_masks, alive, ws, wc, wl, memo, stats):
         if inf_val >= 0:
             cand = min(ws + top, wc + inf_val)
             if cand > best:
-                best = cand
+                best, move = cand, pairs
         if second >= 0 and wl + second > best:
-            best = wl + second
+            best, move = wl + second, pairs
     memo[alive] = best
+    moves[alive] = move
     return best
 
 
-class _Engine:
-    """Memo-carrying wrapper; one engine per game and verifier class."""
+class Engine:
+    """One game's memo on one verifier class.
 
-    def __init__(self):
+    memo maps each solved state to its exact value and moves maps it to
+    its realizing move.  value(state) solves a state: the game's kernel
+    with everything but the state bound once.
+    """
+
+    def __init__(self, kernel, *params):
         self.memo = {}
+        self.moves = {}
         self._stats = [0, 0]
+        self.value = functools.partial(kernel, *params, self.memo,
+                                       self.moves, self._stats)
 
     def stats(self):
         """(nodes_expanded, memo_hits) over the engine's lifetime."""
         return tuple(self._stats)
 
 
-class ScEngine(_Engine):
-    def __init__(self, yes_masks):
-        super().__init__()
-        self.yes_masks = list(yes_masks)
-
-    def value(self, alive, k):
-        return sc_ldim(self.yes_masks, alive, k, self.memo, self._stats)
-
-
-class WscEngine(_Engine):
-    def __init__(self, yes_masks, ws, wc):
-        super().__init__()
-        self.yes_masks = list(yes_masks)
-        self.ws = ws
-        self.wc = wc
-
-    def value(self, alive):
-        return wsc_ldim(self.yes_masks, alive, self.ws, self.wc,
-                        self.memo, self._stats)
-
-
-class SclEngine(_Engine):
-    def __init__(self, label_masks, ws, wc, wl):
-        super().__init__()
-        self.label_masks = list(label_masks)
-        self.ws = ws
-        self.wc = wc
-        self.wl = wl
-
-    def value(self, alive):
-        return scl_ldim(self.label_masks, alive, self.ws, self.wc, self.wl,
-                        self.memo, self._stats)
-
-
 def ldim_engine(yes_masks):
     """The plain game is the weighted game at unit costs."""
-    return WscEngine(yes_masks, 1, 1)
+    return Engine(wsc_ldim, list(yes_masks), 1, 1)
 
 
 def sc_engine(yes_masks):
-    return ScEngine(yes_masks)
+    return Engine(sc_ldim, list(yes_masks))
 
 
 def wsc_engine(yes_masks, ws: int, wc: int):
-    return WscEngine(yes_masks, ws, wc)
+    return Engine(wsc_ldim, list(yes_masks), ws, wc)
 
 
 def scl_engine(label_masks, ws: int, wc: int, wl: int):
-    return SclEngine(label_masks, ws, wc, wl)
+    return Engine(scl_ldim, list(label_masks), ws, wc, wl)

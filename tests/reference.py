@@ -1,25 +1,29 @@
 """Reference searches and walkers for the kernel equivalence tests.
 
 These are the minimax searches and witness walkers as they were before
-the engines took distinct yes-masks and the SCL game filtered its traces:
-every node scans every universe instance (SC, WSC, plain) or every full
-trace (SCL), and the SCL node asks for each pair's children separately.
-The library must reproduce their values, memo tables, node counts and
-witness trees exactly.  ref_validate_fail_token is the fail-token check
-as it was before it read the class's (problem, steps) index: one walk
-per verifier over the head's prefixes.
+the engines took distinct yes-masks, the SCL game filtered its traces
+and the engines recorded each node's realizing move: every node scans
+every universe instance (SC, WSC, plain) or every full trace (SCL), the
+SCL node asks for each pair's children separately, and the walker
+rescans a node's moves from the first instance, solving each move's
+children, until one realizes the node's value.  The library must
+reproduce their values, memo tables, node counts and witness trees
+exactly.  ref_validate_fail_token is the fail-token check as it was
+before it read the class's (problem, steps) index: one walk per verifier
+over the head's prefixes.
 """
 
-from cotverify import dimensions
 from cotverify.core import (
     ALL_CORRECT,
     FailTokenInvalid,
     FailTokenRequired,
+    NoWitness,
     PrefixInstance,
     UnknownInstance,
     cot_instances,
     is_fault,
 )
+from cotverify.dimensions import MistakeTree, TreeEdge, TreeNode
 from cotverify.kernels import sc_bound, wsc_bound
 
 
@@ -137,8 +141,29 @@ def scl_label_masks(vclass):
     return [vclass.cot_partition(z) for z in cot_instances(vclass)]
 
 
-# Walkers: the first realizing move of a full scan, built by the library's
-# own tree builder (dimensions._extract), with values from the references.
+# Walkers: the first realizing move of a full scan, with values from the
+# references.  Each game gives its moves as moves(state) yielding
+# (instance, move value, edges) in scan order, each edge (label, kind,
+# weight, child state); a child state of None is a bare leaf.
+
+def _build(kind, value, moves, state, budget=None):
+    if value(state) == 0:
+        raise NoWitness("dimension is 0")
+
+    def build(state):
+        v = value(state)
+        if v == 0:
+            return None
+        for z, move_value, edges in moves(state):
+            if move_value == v:
+                return TreeNode(z, tuple(
+                    TreeEdge(label, k, w, None if child is None else build(child))
+                    for label, k, w, child in edges
+                ))
+        raise AssertionError("memoized value has no realizing move")
+
+    return MistakeTree(kind, build(state), budget)
+
 
 def _full_scan_moves(vclass, value, ws, wc, gamma_s, gamma_c):
     def moves(alive):
@@ -158,7 +183,7 @@ def ref_extract_weighted(vs, kind, ws, wc, gamma_s, gamma_c):
     def value(alive):
         return ref_wsc(vs.vclass.yes_masks, alive, ws, wc, memo, stats)
 
-    return dimensions._extract(
+    return _build(
         kind, value, _full_scan_moves(vs.vclass, value, ws, wc, gamma_s, gamma_c),
         vs.alive)
 
@@ -184,7 +209,7 @@ def ref_extract_sc(vs, k, one):
                 yield z, 1 + min(value(y, budget), value(n, budget - 1)), (
                     curvy, (False, "s", one, (n, budget - 1)))
 
-    return dimensions._extract("SC", lambda state: value(*state), moves,
+    return _build("SC", lambda state: value(*state), moves,
                                (vs.alive, k), budget=k)
 
 
@@ -213,7 +238,7 @@ def ref_extract_scl(vs, costs, ws, wc, wl):
                     yield z, wl + min(value(a), value(b)), (
                         (la, "l", costs.gamma_l, a), (lb, "l", costs.gamma_l, b))
 
-    return dimensions._extract("SCL", value, moves, vs.alive)
+    return _build("SCL", value, moves, vs.alive)
 
 
 def ref_validate_fail_token(vclass):

@@ -623,6 +623,11 @@ _SCENARIO_EDITS = {
     "short-table-row": [(_ROW + (2, 2), None)],
     "dist-not-object": [(_ROW + (1, 2), [[["0", "1"]]])],
     "repeated-table-row": [(_ROW + (1,), [[0, [], {"0": "1/2", "1": "1/2"}]])],
+    "unknown-D-problem": [(("D", "3"), None), (("D", "99"), ["1/16"])],
+    "unknown-table-problem": [(_ROW + (0, 0), [99])],
+    "table-step-outside-sigma": [(_ROW + (1, 1, 0), [5])],
+    "table-token-outside-sigma": [(_ROW + (0, 2, "0"), None),
+                                  (_ROW + (0, 2, "5"), ["1/2"])],
 }
 
 
@@ -646,6 +651,19 @@ def test_boost_rejects_malformed_scenario(scenario_path, capsys, edits):
     assert run_cli("boost", "--scenario", str(scenario_path),
                    "--verify-alpha") == cli.EXIT_INVALID
     _one_error_line(capsys)
+
+
+def test_boost_names_a_missing_prover_distribution(scenario_path, capsys):
+    # Every example is problem 0, where the first prover has no
+    # distribution for the first step.
+    doc = json.loads(scenario_path.read_text())
+    scenario_path.write_text(json.dumps(_edited(doc, [
+        (("D",), [{"0": 1}]), (_ROW + (0,), None)])))
+    assert run_cli("boost", "--scenario", str(scenario_path), "--seed", "0",
+                   "--trials", "1") == cli.EXIT_INVALID
+    assert _one_error_line(capsys) == (
+        "error: prover 0 (early) has no next-step distribution for problem 0 "
+        "after steps []\n")
 
 
 def test_boost_rejects_scenario_that_is_not_an_object(scenario_path, capsys):

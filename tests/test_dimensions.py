@@ -139,7 +139,7 @@ def test_dim_results_report_backend():
 def test_stats_report_node_counts():
     rng = random.Random(1)
     vc = brute.random_class(rng)
-    eng = kernels.WscEngine(vc.yes_masks, 1, 1)
+    eng = kernels.ldim_engine(vc.yes_masks)
     eng.value(VersionSpace.full(vc).alive)
     nodes, hits = eng.stats()
     assert nodes >= 1 and hits >= 0
@@ -150,8 +150,8 @@ def test_query_stats_count_only_this_query():
     vs = VersionSpace.full(families.singleton_bitstring_class(5))
     first = dimensions.sc_ldim(vs, 1, witness=False).stats
     assert first["nodes_expanded"] >= 1
-    # The witness extraction searches again; the next query must not
-    # report that work, nor the first query's.
+    # The witness extraction follows the recorded moves; the next query
+    # must report neither that walk nor the first query's search.
     dimensions.sc_ldim(vs, 1, witness=True)
     again = dimensions.sc_ldim(vs, 1, witness=False).stats
     assert again["nodes_expanded"] == 0

@@ -141,6 +141,6 @@ def test_walkers_take_a_repeated_masks_first_instance():
     assert dimensions.extract_witness(vs, "WSC", costs=costs) == (
         ref.ref_extract_weighted(vs, "WSC", 2, 1, costs.gamma_s, costs.gamma_c))
     # The distinct masks, each with its first instance, in that order.
-    assert dimensions._distinct_masks(vc) == (
-        [0b110, 0b000, 0b100, 0b111],
-        [(vc.universe[i], masks[i]) for i in (0, 2, 3, 4)])
+    assert list(dimensions._distinct_masks(vc).items()) == [
+        (0b110, vc.universe[0]), (0b000, vc.universe[2]),
+        (0b100, vc.universe[3]), (0b111, vc.universe[4])]

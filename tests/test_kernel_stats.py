@@ -64,3 +64,21 @@ def test_dim_game_stats_are_pinned(name, kind, k, gammas, value, nodes, hits):
         res = dimensions.scl_ldim(vs, costs, witness=False)
     assert (res.value, res.stats["nodes_expanded"], res.stats["memo_hits"]) == (
         value, nodes, hits)
+
+
+@pytest.mark.parametrize("kind", ["ldim", "sc"])
+def test_witness_extraction_runs_no_search(kind):
+    vs = VersionSpace.full(CLASSES["indicator10"]())
+    if kind == "ldim":
+        res = dimensions.ldim(vs, witness=False)
+        engine = dimensions._ldim_engine(vs.vclass)
+        extract = lambda: dimensions.extract_witness(vs, "plain")
+    else:
+        res = dimensions.sc_ldim(vs, 1, witness=False)
+        engine = dimensions._sc_engine(vs.vclass)
+        extract = lambda: dimensions.extract_witness(vs, "SC", k=1)
+    before = engine.stats()
+    tree = extract()
+    assert engine.stats() == before
+    assert dimensions.certified_value(tree) == res.value
+    assert dimensions.verify_shattered(tree, vs)
