@@ -153,16 +153,6 @@ class Verifier:
     rows: tuple[bool, ...]
 
 
-# Byte 0/1 to ASCII "0"/"1", for reading a truth table as a binary numeral.
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def column_mask(bits: Iterable[int]) -> int:
-    """The bitmask of a sequence of 0/1 entries (bools or ints): bit j is
-    set iff bits[j] is 1."""
-    return int(b"0" + bytes(bits)[::-1].translate(_DIGITS), 2)
-
-
 class VerifierClass:
     """A finite set of verifiers over a shared enumerated prefix universe.
 
@@ -171,6 +161,10 @@ class VerifierClass:
     universe instance: bit h of yes_masks[i] is set iff verifier h accepts
     universe[i].  index maps each instance's (problem, steps) to its
     universe index: every lookup and every prefix walk reads it.
+
+    A class is made from its yes-masks, either directly or through
+    from_masks, which takes (instance, mask) pairs in any order; the
+    family builders and the class-file loader both go through it.
     """
 
     def __init__(
@@ -232,23 +226,6 @@ class VerifierClass:
             raise SchemaError("need one yes-mask per universe instance")
         if min(self.yes_masks) < 0 or max(self.yes_masks) >> n:
             raise SchemaError(f"yes-mask names a verifier outside 0..{n - 1}")
-
-    @classmethod
-    def build(
-        cls,
-        sigma: Sequence[StepToken],
-        problems: Sequence[Problem],
-        L: int,
-        table: dict[PrefixInstance, Sequence[bool]],
-        fail_token: Optional[int] = None,
-    ) -> "VerifierClass":
-        """Build from a per-instance column table {z: [h_0(z), h_1(z), ...]}."""
-        sizes = {len(column) for column in table.values()}
-        if len(sizes) != 1:
-            raise SchemaError("ragged verifier columns")
-        masks = [(z, column_mask(map(bool, column)))
-                 for z, column in table.items()]
-        return cls.from_masks(sigma, problems, L, masks, sizes.pop(), fail_token)
 
     @classmethod
     def from_masks(

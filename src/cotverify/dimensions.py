@@ -475,7 +475,6 @@ def max_weight_for_leaves(n_leaves: int, d: int) -> int:
     """Largest w with min_leaf_recurrence(w, d) <= n_leaves."""
     if n_leaves < 1:
         raise ValueError("need at least one leaf")
-    w = 0
-    while min_leaf_recurrence(w + 1, d) <= n_leaves:
-        w += 1
-    return w
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return kernels.wsc_bound(n_leaves, d, 1)

@@ -2,15 +2,15 @@
 and lower bounds, plus JSON load/save for user-defined classes.
 
 All generators are pure and deterministic; identical parameters produce
-identical canonical classes.
+identical canonical classes.  Each computes its class's yes-masks
+directly and hands (instance, mask) pairs to VerifierClass.from_masks.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     CapExceeded,
@@ -20,34 +20,33 @@ from .core import (
     SchemaError,
     StepToken,
     VerifierClass,
-    column_mask,
 )
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Tractability limits; dimension minimax is exponential in these."""
-
-    max_verifiers: int = 4096
-    max_universe: int = 65536
+# Tractability limits; dimension minimax is exponential in these.
+MAX_VERIFIERS = 4096
+MAX_UNIVERSE = 65536
 
 
-DEFAULT_CAPS = Caps()
-
-
-def _check_caps(n_verifiers: int, n_universe: int, caps: Caps):
-    if n_verifiers > caps.max_verifiers:
+def _check_caps(n_verifiers: int, n_universe: int):
+    if n_verifiers > MAX_VERIFIERS:
         raise CapExceeded(
-            f"{n_verifiers} verifiers exceeds cap {caps.max_verifiers}"
+            f"{n_verifiers} verifiers exceeds cap {MAX_VERIFIERS}"
         )
-    if n_universe > caps.max_universe:
+    if n_universe > MAX_UNIVERSE:
         raise CapExceeded(
-            f"universe size {n_universe} exceeds cap {caps.max_universe}"
+            f"universe size {n_universe} exceeds cap {MAX_UNIVERSE}"
         )
 
 
-def _binary_sigma() -> list[StepToken]:
-    return [StepToken(0, "0"), StepToken(1, "1")]
+# Byte 0/1 to ASCII "0"/"1", for reading a truth table as a binary numeral.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _column_mask(bits: Iterable[int]) -> int:
+    """The bitmask of a sequence of 0/1 entries (bools or ints): bit j is
+    set iff bits[j] is 1."""
+    return int(b"0" + bytes(bits)[::-1].translate(_DIGITS), 2)
 
 
 def _bit_prefixes(L: int):
@@ -55,73 +54,88 @@ def _bit_prefixes(L: int):
         yield from itertools.product((0, 1), repeat=ell)
 
 
-def singleton_bitstring_class(L: int, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
-    """Correct proofs are single unknown length-L bitstrings.
-
-    One verifier h_b per b in {0,1}^L; h_b accepts a prefix iff its last
-    step matches the corresponding bit of b.
-    """
-    if L < 1 or L > 16:
-        raise CapExceeded(f"L must be in 1..16, got {L}")
-    _check_caps(2**L, 2 ** (L + 1) - 2, caps)
-    patterns = list(itertools.product((0, 1), repeat=L))
-    table = {}
-    for steps in _bit_prefixes(L):
-        z = PrefixInstance(0, steps)
-        ell = len(steps)
-        table[z] = [steps[ell - 1] == b[ell - 1] for b in patterns]
-    return VerifierClass.build(
-        _binary_sigma(), [Problem(0, "x")], L, table
+def _binary_class(L: int, masks, n_verifiers: int) -> VerifierClass:
+    """A one-problem class over the binary alphabet from (steps, mask)
+    pairs."""
+    return VerifierClass.from_masks(
+        [StepToken(0, "0"), StepToken(1, "1")], [Problem(0, "x")], L,
+        ((PrefixInstance(0, steps), m) for steps, m in masks), n_verifiers,
     )
 
 
-def complement_class(n: int, L: int, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
+def singleton_bitstring_class(L: int) -> VerifierClass:
+    """Correct proofs are single unknown length-L bitstrings.
+
+    One verifier h_b per b in {0,1}^L, where verifier j's b is the
+    bitstring of j, most significant bit first; h_b accepts a prefix iff
+    its last step matches the corresponding bit of b.  A length-l
+    prefix's yes-mask is therefore one of two masks for position l: the
+    verifiers whose bit L - l is set, or the rest.
+    """
+    if L < 1 or L > 16:
+        raise CapExceeded(f"L must be in 1..16, got {L}")
+    n = 2**L
+    _check_caps(n, 2 * n - 2)
+    full = (1 << n) - 1
+    by_step = {}
+    for ell in range(1, L + 1):
+        half = 1 << (L - ell)
+        # Runs of `half` clear bits then `half` set bits, repeated.
+        ones = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+        by_step[ell] = (full ^ ones, ones)
+    return _binary_class(
+        L, ((steps, by_step[len(steps)][steps[-1]])
+            for steps in _bit_prefixes(L)), n)
+
+
+def complement_class(n: int, L: int) -> VerifierClass:
     """n verifiers, each rejecting exactly one designated full trace.
 
     Verifier i outputs NO only on the final prefix of designated trace i
-    (the first n length-L bitstrings in lexicographic order).
+    (the first n length-L bitstrings in lexicographic order).  The
+    universe is the designated traces' prefixes: every shorter one has
+    the full mask, and trace i has every bit but i.
     """
     if n < 2:
         raise CapExceeded("need n >= 2")
     if n > 2**L:
         raise CapExceeded(f"only {2 ** L} distinct traces of length {L}")
-    designated = [
-        tuple((i >> (L - 1 - j)) & 1 for j in range(L)) for i in range(n)
-    ]
-    prefixes = {t[:ell] for t in designated for ell in range(1, L + 1)}
-    _check_caps(n, len(prefixes), caps)
-    table = {}
-    for steps in sorted(prefixes):
-        z = PrefixInstance(0, steps)
-        table[z] = [steps != designated[i] for i in range(n)]
-    return VerifierClass.build(
-        _binary_sigma(), [Problem(0, "x")], L, table
-    )
+    # The length-l prefixes of the designated traces are the numbers
+    # 0 .. (n - 1) >> (L - l), written in l bits.
+    tops = [(n - 1) >> (L - ell) for ell in range(1, L + 1)]
+    _check_caps(n, sum(tops) + L)
+    full = (1 << n) - 1
+    return _binary_class(
+        L, ((tuple(map(int, format(p, f"0{ell}b"))),
+             full ^ 1 << p if ell == L else full)
+            for ell, top in enumerate(tops, 1) for p in range(top + 1)), n)
 
 
-def indicator_class(n_bits: int, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
+def indicator_class(n_bits: int) -> VerifierClass:
     """One verifier per coordinate; h_i accepts exactly the unit vector e_i.
 
     Instances are bit prefixes revealed one coordinate at a time (L equals
-    n_bits); h_i accepts a prefix iff it agrees with e_i so far.
+    n_bits); h_i accepts a prefix iff it agrees with e_i so far.  So an
+    all-zero length-l prefix is accepted by h_l .. h_{n-1}, a prefix whose
+    only 1 is at step i by h_i alone, and any other prefix by none.
     """
     if n_bits < 2 or n_bits > 10:
         raise CapExceeded(f"n_bits must be in 2..10, got {n_bits}")
-    _check_caps(n_bits, 2 ** (n_bits + 1) - 2, caps)
-    units = [
-        tuple(1 if j == i else 0 for j in range(n_bits))
-        for i in range(n_bits)
-    ]
-    table = {}
-    for steps in _bit_prefixes(n_bits):
-        z = PrefixInstance(0, steps)
-        table[z] = [steps == u[: len(steps)] for u in units]
-    return VerifierClass.build(
-        _binary_sigma(), [Problem(0, "x")], n_bits, table
-    )
+    _check_caps(n_bits, 2 ** (n_bits + 1) - 2)
+    full = (1 << n_bits) - 1
+
+    def mask(steps):
+        ones = steps.count(1)
+        if ones == 0:
+            return full >> len(steps) << len(steps)
+        return 1 << steps.index(1) if ones == 1 else 0
+
+    return _binary_class(
+        n_bits, ((steps, mask(steps)) for steps in _bit_prefixes(n_bits)),
+        n_bits)
 
 
-def conjunction_class(L: int, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
+def conjunction_class(L: int) -> VerifierClass:
     """Satisfying assignments of an unknown full conjunction over L variables.
 
     A trace is an assignment; verifier h_b (b_i = 1 for a positive literal,
@@ -130,7 +144,7 @@ def conjunction_class(L: int, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
     """
     if L < 1 or L > 12:
         raise CapExceeded(f"L must be in 1..12, got {L}")
-    return singleton_bitstring_class(L, caps)
+    return singleton_bitstring_class(L)
 
 
 # River-crossing puzzle: states are (farmer, chicken, fox, corn) banks.
@@ -175,15 +189,13 @@ def river_edges() -> list[tuple[tuple, tuple]]:
 def river_crossing_class(
     revealed_edges: Sequence[tuple[tuple, tuple]],
     L: int,
-    restrict_hidden: bool = True,
-    caps: Caps = DEFAULT_CAPS,
 ) -> VerifierClass:
     """Verifier per hidden edge set over the river-crossing move graph.
 
     A trace is a vertex sequence; h accepts a prefix iff it starts at the
     start state, each move uses a revealed or hidden edge, and a full-length
-    trace ends at the goal.  By default hidden sets range over the edges not
-    already revealed, which avoids duplicate verifiers.
+    trace ends at the goal.  Hidden sets range over the edges not already
+    revealed, which avoids duplicate verifiers.
     """
     if L < 2 or L > 12:
         raise CapExceeded(f"L must be in 2..12, got {L}")
@@ -191,8 +203,8 @@ def river_crossing_class(
     E0 = set(revealed_edges)
     if not E0 <= set(E):
         raise SchemaError("revealed edge not in the legal-move graph")
-    pool = sorted(set(E) - E0) if restrict_hidden else sorted(E)
-    if len(pool) > 20 or 2 ** len(pool) > caps.max_verifiers:
+    pool = sorted(set(E) - E0)
+    if len(pool) > 20 or 2 ** len(pool) > MAX_VERIFIERS:
         raise CapExceeded(f"2^{len(pool)} hidden sets exceeds verifier cap")
 
     states = _river_states()
@@ -210,7 +222,7 @@ def river_crossing_class(
             for s, t in E:
                 if s == path[-1]:
                     frontier.append(path + (t,))
-    if len(universe) > caps.max_universe:
+    if len(universe) > MAX_UNIVERSE:
         raise CapExceeded(f"universe size {len(universe)} exceeds cap")
 
     hidden_sets = [
@@ -232,18 +244,19 @@ def river_crossing_class(
             return False
         return True
 
-    table = {
-        PrefixInstance(0, steps): [accepts(h, steps) for h in hidden_sets]
+    masks = [
+        (PrefixInstance(0, steps),
+         _column_mask(accepts(h, steps) for h in hidden_sets))
         for steps in universe
-    }
-    return VerifierClass.build(sigma, [Problem(0, "river")], L, table)
+    ]
+    return VerifierClass.from_masks(
+        sigma, [Problem(0, "river")], L, masks, len(hidden_sets))
 
 
 def product_class(
     sigma: Sequence[StepToken],
     problems: Sequence[Problem],
     minis: Sequence[Sequence[Callable[[int, tuple[int, ...]], bool]]],
-    caps: Caps = DEFAULT_CAPS,
 ) -> VerifierClass:
     """Product of per-step mini-verifier classes H_1 x ... x H_L.
 
@@ -260,16 +273,16 @@ def product_class(
         n_verifiers *= len(step_class)
     n_tokens = len(sigma)
     n_universe = len(problems) * sum(n_tokens**ell for ell in range(1, L + 1))
-    _check_caps(n_verifiers, n_universe, caps)
+    _check_caps(n_verifiers, n_universe)
     combos = list(itertools.product(*[range(len(m)) for m in minis]))
-    table = {}
+    masks = []
     for p in problems:
         for ell in range(1, L + 1):
             for steps in itertools.product(range(n_tokens), repeat=ell):
-                z = PrefixInstance(p.id, steps)
-                judged = [m(p.id, steps) for m in minis[ell - 1]]
-                table[z] = [judged[c[ell - 1]] for c in combos]
-    return VerifierClass.build(sigma, problems, L, table)
+                judged = [bool(m(p.id, steps)) for m in minis[ell - 1]]
+                masks.append((PrefixInstance(p.id, steps), _column_mask(
+                    judged[c[ell - 1]] for c in combos)))
+    return VerifierClass.from_masks(sigma, problems, L, masks, n_verifiers)
 
 
 def with_fail_token(vclass: VerifierClass) -> VerifierClass:
@@ -319,7 +332,7 @@ def _all_ints(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
-def load_class(path, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
+def load_class(path) -> VerifierClass:
     """Read a class file, the JSON object that save_class writes.
 
     Every number in it must be a JSON integer and every row entry 0 or 1;
@@ -345,7 +358,7 @@ def load_class(path, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
         raise SchemaError(f"{path}: fail_token must be an integer")
     universe_doc, verifiers_doc = doc["universe"], doc["verifiers"]
     n, size = len(verifiers_doc), len(universe_doc)
-    _check_caps(n, size, caps)
+    _check_caps(n, size)
 
     entries_ok = (size > 0 and set(map(type, universe_doc)) == {list}
                   and set(map(len, universe_doc)) == {2})
@@ -374,7 +387,7 @@ def load_class(path, caps: Caps = DEFAULT_CAPS) -> VerifierClass:
         if not _all_ints(row) or not set(row) <= {0, 1}:
             raise SchemaError(f"{path}: non-binary row entry")
         rows[i] = row
-    masks = map(column_mask, zip(*rows)) if n else [0] * size
+    masks = map(_column_mask, zip(*rows)) if n else [0] * size
 
     return VerifierClass.from_masks(
         [StepToken(i, str(s)) for i, s in enumerate(doc["sigma"])],

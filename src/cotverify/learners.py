@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from . import dimensions
 from .core import (
@@ -65,10 +65,10 @@ class MajorityVote(_SpaceLearner):
         alive, vclass = self.vs.alive, self.vs.vclass
         if alive == 0:
             raise EmptyVersionSpace("no verifier consistent with history")
-        half = alive.bit_count() / 2
+        n = alive.bit_count()
         masks = vclass.prefix_masks(z)
         for ell, yes in enumerate(masks, 1):
-            if (yes & alive).bit_count() <= half:
+            if 2 * (yes & alive).bit_count() <= n:
                 return ell
         vclass.read_past(z, masks)
         return ALL_CORRECT
@@ -373,11 +373,11 @@ def run_online(
     learner,
     oracle: Oracle,
     sequence: Sequence,
-    costs: Optional[CostVector] = None,
 ) -> Transcript:
-    """Drive one online session and return the per-round transcript."""
-    if costs is None:
-        costs = getattr(learner, "costs", _UNIT_COSTS)
+    """Drive one online session and return the per-round transcript; each
+    mistake costs what the learner's costs say, unit costs if it has
+    none."""
+    costs = getattr(learner, "costs", _UNIT_COSTS)
     transcript = Transcript()
     for z in sequence:
         pred = learner.predict(z)

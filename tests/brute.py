@@ -11,12 +11,12 @@ caches the existence predicate and shares no code with the engines.
 
 import itertools
 
+from reference import class_from_table
 from cotverify.core import (
     ALL_CORRECT,
     PrefixInstance,
     Problem,
     StepToken,
-    VerifierClass,
     cot_instances,
 )
 
@@ -206,7 +206,7 @@ def random_class(rng, max_h=8, max_universe=12):
         for steps in chosen
     }
     sigma = [StepToken(0, "0"), StepToken(1, "1")]
-    return VerifierClass.build(sigma, [Problem(0, "x")], L, table)
+    return class_from_table(sigma, [Problem(0, "x")], L, table)
 
 
 def random_full_trace_class(rng, max_h=8, L=2):
@@ -222,4 +222,4 @@ def random_full_trace_class(rng, max_h=8, L=2):
         for steps in prefixes
     }
     sigma = [StepToken(0, "0"), StepToken(1, "1")]
-    return VerifierClass.build(sigma, [Problem(0, "x")], L, table)
+    return class_from_table(sigma, [Problem(0, "x")], L, table)

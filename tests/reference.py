@@ -11,7 +11,16 @@ reproduce their values, memo tables, node counts and witness trees
 exactly.  ref_validate_fail_token is the fail-token check as it was
 before it read the class's (problem, steps) index: one walk per verifier
 over the head's prefixes.
+
+class_from_table builds a class from a per-instance column table
+{z: [h_0(z), h_1(z), ...]}, turning each column into a yes-mask; the
+tests that write small classes by hand use it.  The ref_*_class builders
+are the family builders as they were before they computed yes-masks
+directly: each fills one bool per (instance, verifier) and goes through
+class_from_table.  The library builders must give equal classes.
 """
+
+import itertools
 
 from cotverify.core import (
     ALL_CORRECT,
@@ -19,11 +28,16 @@ from cotverify.core import (
     FailTokenRequired,
     NoWitness,
     PrefixInstance,
+    Problem,
+    SchemaError,
+    StepToken,
     UnknownInstance,
+    VerifierClass,
     cot_instances,
     is_fault,
 )
 from cotverify.dimensions import MistakeTree, TreeEdge, TreeNode
+from cotverify.families import RIVER_GOAL, RIVER_START, river_edges
 from cotverify.kernels import sc_bound, wsc_bound
 
 
@@ -275,3 +289,123 @@ def ref_validate_fail_token(vclass):
                 f"some verifier accepts fail-token step after correct "
                 f"prefix at {z}"
             )
+
+
+# Byte 0/1 to ASCII "0"/"1", for reading a truth table as a binary numeral.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def column_mask(bits):
+    """The bitmask of a sequence of 0/1 entries (bools or ints): bit j is
+    set iff bits[j] is 1."""
+    return int(b"0" + bytes(bits)[::-1].translate(_DIGITS), 2)
+
+
+def class_from_table(sigma, problems, L, table, fail_token=None):
+    """Build from a per-instance column table {z: [h_0(z), h_1(z), ...]}."""
+    sizes = {len(column) for column in table.values()}
+    if len(sizes) != 1:
+        raise SchemaError("ragged verifier columns")
+    masks = [(z, column_mask(map(bool, column)))
+             for z, column in table.items()]
+    return VerifierClass.from_masks(sigma, problems, L, masks, sizes.pop(),
+                                    fail_token)
+
+
+def _binary_sigma():
+    return [StepToken(0, "0"), StepToken(1, "1")]
+
+
+def _bit_prefixes(L):
+    for ell in range(1, L + 1):
+        yield from itertools.product((0, 1), repeat=ell)
+
+
+def ref_singleton_class(L):
+    patterns = list(itertools.product((0, 1), repeat=L))
+    table = {}
+    for steps in _bit_prefixes(L):
+        z = PrefixInstance(0, steps)
+        ell = len(steps)
+        table[z] = [steps[ell - 1] == b[ell - 1] for b in patterns]
+    return class_from_table(_binary_sigma(), [Problem(0, "x")], L, table)
+
+
+def ref_complement_class(n, L):
+    designated = [
+        tuple((i >> (L - 1 - j)) & 1 for j in range(L)) for i in range(n)
+    ]
+    prefixes = {t[:ell] for t in designated for ell in range(1, L + 1)}
+    table = {}
+    for steps in sorted(prefixes):
+        z = PrefixInstance(0, steps)
+        table[z] = [steps != designated[i] for i in range(n)]
+    return class_from_table(_binary_sigma(), [Problem(0, "x")], L, table)
+
+
+def ref_indicator_class(n_bits):
+    units = [
+        tuple(1 if j == i else 0 for j in range(n_bits))
+        for i in range(n_bits)
+    ]
+    table = {}
+    for steps in _bit_prefixes(n_bits):
+        z = PrefixInstance(0, steps)
+        table[z] = [steps == u[: len(steps)] for u in units]
+    return class_from_table(_binary_sigma(), [Problem(0, "x")], n_bits, table)
+
+
+def ref_river_crossing_class(revealed_edges, L):
+    E = river_edges()
+    E0 = set(revealed_edges)
+    pool = sorted(set(E) - E0)
+    states = list(itertools.product((0, 1), repeat=4))
+    state_id = {s: i for i, s in enumerate(states)}
+    sigma = [StepToken(i, "".join(map(str, s))) for i, s in enumerate(states)]
+    universe = {(state_id[s],) for s in states}
+    frontier = [(RIVER_START,)]
+    while frontier:
+        path = frontier.pop()
+        universe.add(tuple(state_id[s] for s in path))
+        if len(path) < L:
+            for s, t in E:
+                if s == path[-1]:
+                    frontier.append(path + (t,))
+    hidden_sets = [
+        frozenset(c)
+        for r in range(len(pool) + 1)
+        for c in itertools.combinations(pool, r)
+    ]
+
+    def accepts(known, steps):
+        path = [states[i] for i in steps]
+        if path[0] != RIVER_START:
+            return False
+        t = len(path)
+        allowed = E0 | known
+        for a, b in zip(path, path[1:]):
+            if (a, b) not in allowed:
+                return False
+        if t == L and path[-1] != RIVER_GOAL:
+            return False
+        return True
+
+    table = {
+        PrefixInstance(0, steps): [accepts(h, steps) for h in hidden_sets]
+        for steps in universe
+    }
+    return class_from_table(sigma, [Problem(0, "river")], L, table)
+
+
+def ref_product_class(sigma, problems, minis):
+    L = len(minis)
+    n_tokens = len(sigma)
+    combos = list(itertools.product(*[range(len(m)) for m in minis]))
+    table = {}
+    for p in problems:
+        for ell in range(1, L + 1):
+            for steps in itertools.product(range(n_tokens), repeat=ell):
+                z = PrefixInstance(p.id, steps)
+                judged = [m(p.id, steps) for m in minis[ell - 1]]
+                table[z] = [judged[c[ell - 1]] for c in combos]
+    return class_from_table(sigma, problems, L, table)

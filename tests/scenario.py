@@ -27,7 +27,8 @@ ALPHA = Fraction(1, 2)
 HALF = {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
-def build_class():
+def class_parts():
+    """The alphabet, the problems and the per-step mini-classes."""
     sigma = [StepToken(0, "0"), StepToken(1, "1")]
     problems = [Problem(i, f"x{i}") for i in range(N_PROBLEMS)]
     minis = [
@@ -36,7 +37,11 @@ def build_class():
         [lambda p, s, b=b: s[-1] == b for b in (0, 1)],
         [lambda p, s: True],
     ]
-    return families.product_class(sigma, problems, minis)
+    return sigma, problems, minis
+
+
+def build_class():
+    return families.product_class(*class_parts())
 
 
 def _point(tok):

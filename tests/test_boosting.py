@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scenario
+from reference import class_from_table
 from cotverify import boosting, cli, dimensions
 from cotverify.core import (
     CotInstance,
@@ -26,7 +27,6 @@ from cotverify.core import (
     Problem,
     StepToken,
     UnknownInstance,
-    VerifierClass,
     VersionSpace,
 )
 from cotverify.learners import ConservativeWrapper, ScSoa
@@ -133,7 +133,7 @@ def _one_step_class(tokens):
     """One problem, L = 1, a universe of the given one-step prefixes and a
     single verifier that rejects all of them."""
     sigma = [StepToken(t) for t in range(8)]
-    return VerifierClass.build(sigma, [Problem(0)], 1, {
+    return class_from_table(sigma, [Problem(0)], 1, {
         PrefixInstance(0, (t,)): [False] for t in tokens})
 
 
@@ -767,7 +767,7 @@ def test_off_universe_prefixes(setup):
     # A universe missing (0, (1,)): a walk through (1,) hands the verdict
     # a new prefix there, then the universe's own (0, (1, 1)).
     sigma = [StepToken(0), StepToken(1)]
-    gappy = VerifierClass.build(sigma, [Problem(0)], 2, {
+    gappy = class_from_table(sigma, [Problem(0)], 2, {
         PrefixInstance(0, (0,)): [True],
         PrefixInstance(0, (0, 1)): [True],
         PrefixInstance(0, (1, 1)): [True],

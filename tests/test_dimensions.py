@@ -241,8 +241,9 @@ def test_wsc_bound_inverts_leaf_recurrence():
     for size in range(1, 70):
         assert kernels.wsc_bound(size, 1, 1) == size.bit_length() - 1
         for d in (2, 3, 5):
-            assert kernels.wsc_bound(size, d, 1) == (
-                dimensions.max_weight_for_leaves(size, d))
+            w = kernels.wsc_bound(size, d, 1)
+            assert dimensions.min_leaf_recurrence(w, d) <= size < (
+                dimensions.min_leaf_recurrence(w + 1, d))
             # Scaling both costs scales the bound; swapping them changes
             # nothing, because L is symmetric in the two costs.
             assert kernels.wsc_bound(size, 3 * d, 3) == 3 * kernels.wsc_bound(size, d, 1)

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import reference as ref
+import scenario
 from cotverify import families
 from cotverify.core import (
     ALL_CORRECT,
@@ -62,6 +64,50 @@ def test_generator_caps():
         families.indicator_class(11)
     with pytest.raises(CapExceeded):
         families.complement_class(5, 2)
+
+
+def test_caps_admit_4096_verifiers_and_no_more():
+    assert len(families.singleton_bitstring_class(12)) == 4096
+    assert len(families.complement_class(4096, 12)) == 4096
+    with pytest.raises(CapExceeded, match="^8192 verifiers exceeds cap 4096$"):
+        families.singleton_bitstring_class(13)
+    # One always-accept verifier per step over 2^1 + ... + 2^16 prefixes.
+    with pytest.raises(CapExceeded,
+                       match="^universe size 131070 exceeds cap 65536$"):
+        families.product_class(
+            [StepToken(0), StepToken(1)], [Problem(0)],
+            [[lambda p, s: True]] * 16)
+
+
+_RIVER = families.river_edges()
+_MASK_BUILDERS = {
+    "singleton": [(families.singleton_bitstring_class,
+                   ref.ref_singleton_class, (L,)) for L in range(1, 11)],
+    "conjunction": [(families.conjunction_class,
+                     ref.ref_singleton_class, (L,)) for L in range(1, 10)],
+    "indicator": [(families.indicator_class,
+                   ref.ref_indicator_class, (n,)) for n in range(2, 11)],
+    "complement": [(families.complement_class, ref.ref_complement_class,
+                    (n, L)) for L in range(1, 8) for n in range(2, 2**L + 1)],
+    "river": [(families.river_crossing_class, ref.ref_river_crossing_class,
+               (_RIVER[:r], L)) for L in (4, 5, 8) for r in range(10, 19)],
+    "product": [(families.product_class, ref.ref_product_class,
+                 scenario.class_parts())],
+}
+
+
+def _fields(vc):
+    return (vc.sigma, vc.problems, vc.L, vc.fail_token, vc.universe,
+            vc.yes_masks, vc.n_verifiers)
+
+
+@pytest.mark.parametrize("fail_token", [False, True])
+@pytest.mark.parametrize("family", sorted(_MASK_BUILDERS))
+def test_mask_builders_equal_the_table_references(family, fail_token):
+    wrap = families.with_fail_token if fail_token else (lambda vc: vc)
+    for build, reference, args in _MASK_BUILDERS[family]:
+        got, expected = wrap(build(*args)), wrap(reference(*args))
+        assert _fields(got) == _fields(expected), (family, args)
 
 
 def test_river_edges_and_class():

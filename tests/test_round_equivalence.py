@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import class_from_table
 from cotverify import dimensions, families
 from cotverify.core import (
     ALL_CORRECT,
@@ -29,7 +30,6 @@ from cotverify.core import (
     Problem,
     StepToken,
     UnknownInstance,
-    VerifierClass,
     VersionSpace,
     cot_instances,
     fault_at,
@@ -136,7 +136,7 @@ def random_class(rng, fail_token):
                         rng.random() < 0.6 for _ in range(n)]
     if not table:
         table[PrefixInstance(0, (0,))] = [True] * n
-    vc = VerifierClass.build(
+    vc = class_from_table(
         [StepToken(0, "0"), StepToken(1, "1")],
         [Problem(p, f"x{p}") for p in range(n_problems)], L, table)
     return families.with_fail_token(vc) if fail_token else vc
@@ -192,8 +192,8 @@ def test_cot_label_reads_no_prefix_past_the_targets_first_rejection():
     # the missing second prefix, as cot_label_of does.
     table = {PrefixInstance(0, (0,)): [False, True],
              PrefixInstance(0, (1,)): [True, True]}
-    vc = VerifierClass.build([StepToken(0), StepToken(1)], [Problem(0)], 2,
-                             table)
+    vc = class_from_table([StepToken(0), StepToken(1)], [Problem(0)], 2,
+                          table)
     z = CotInstance(0, (0, 1))
     assert Oracle(vc, 0).cot_label(z) == ref_cot_label(Oracle(vc, 0), z) == 1
     for target in (0, 1):
