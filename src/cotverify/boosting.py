@@ -305,8 +305,9 @@ def _budget(prover_set: ProverSet, params: BoostParams, L: int) -> int:
 
 
 def oracle_call_cap(params: BoostParams, prover_set: ProverSet, L: int) -> int:
-    """Worst-case labeling-oracle calls while handling one example."""
-    return L * prover_set.k * _budget(prover_set, params, L) + L
+    """Worst-case labeling-oracle calls while handling one example: one
+    per candidate drawn, at most L steps of budget rounds of k draws."""
+    return L * prover_set.k * _budget(prover_set, params, L)
 
 
 def alpha_goodness(
@@ -475,16 +476,17 @@ def process_example(
 ) -> tuple[ProcessResult, int]:
     """One training pass: sample steps, cross-check learner vs oracle.
 
-    The first learner/oracle disagreement triggers exactly one learner
-    update and ends the example.  Returns the outcome and the number of
-    labeling-oracle calls made.
+    The oracle labels each candidate drawn.  The first learner/oracle
+    disagreement triggers exactly one learner update and ends the
+    example; a step advances only on a candidate both accept, so every
+    step of a full proof is correct.  Returns the outcome and the number
+    of labeling-oracle calls made.
     """
     vclass = oracle.vclass
     budget = _budget(prover_set, params, vclass.L)
     tables, universe = prover_set.draw_tables(vclass), vclass.universe
     calls = 0
     node, steps = None, ()
-    path = []
     for _ell in range(vclass.L):
         draws = tables[(x, steps) if node is None else node]
         accepted = None
@@ -506,15 +508,7 @@ def process_example(
                 break
         if accepted is None:
             return ProcessResult.TIMEOUT, calls
-        path.append(accepted)
         node, steps = next_node, accepted.steps
-    # Proof found; re-check the whole trace for soundness slips.
-    for z in path:
-        y = oracle.prefix_label(z)
-        calls += 1
-        if not y:
-            learner.update(z, False)
-            return ProcessResult.MADE_MISTAKE, calls
     return ProcessResult.FULL_PROOF, calls
 
 
@@ -530,8 +524,9 @@ def test_hypothesis(
 
     A returned proof with any oracle-rejected prefix is a soundness
     mistake; an abstention after rejecting any truly correct prefix is a
-    completeness mistake.  The oracle is asked about the rejected
-    candidates in order, repeats included.
+    completeness mistake.  The oracle is asked about each distinct
+    rejected prefix, by value, once, in order of first rejection, until
+    one is correct.
     """
     outcome, rejected = _walk(x, prover_set, params, h, oracle.vclass, rng)
     calls = 0
@@ -541,10 +536,13 @@ def test_hypothesis(
             if not oracle.prefix_label(z):
                 return TestResult.SOUNDNESS_MISTAKE, calls
     else:
+        seen = set()  # filled as asked, so an early exit hashes no more
         for z in rejected:
-            calls += 1
-            if oracle.prefix_label(z):
-                return TestResult.COMPLETENESS_MISTAKE, calls
+            if z not in seen:
+                seen.add(z)
+                calls += 1
+                if oracle.prefix_label(z):
+                    return TestResult.COMPLETENESS_MISTAKE, calls
     return TestResult.CORRECT, calls
 
 

@@ -289,7 +289,9 @@ def cmd_dim(args) -> int:
     if res.witness is not None:
         report["witness"] = tree_json(res.witness.root)
         report["witness_dot"] = tree_dot(res.witness)
-        report["witness_verified"] = dimensions.verify_shattered(res.witness, vs)
+        report["witness_verified"] = (
+            dimensions.verify_shattered(res.witness, vs)
+            and dimensions.certified_value(res.witness) == res.value)
     emit(report, args.out)
     return EXIT_OK
 
@@ -416,24 +418,18 @@ def cmd_duel(args) -> int:
             f"{args.learner} is a prefix learner"
         )
     vs = VersionSpace.full(vc)
-    costs = _costs(args)
     verdict = "bound-met"
     if args.adversary == "tree":
-        if args.learner == "sc-soa":
-            tree = dimensions.extract_witness(vs, "SC", k=args.k)
-            bound = Fraction(dimensions.sc_value(vs, args.k))
-            transcript = adversary.play_tree_adversary(tree, learner)
-            achieved = Fraction(transcript.total_mistakes)
-        elif args.learner == "wsc-soa":
-            tree = dimensions.extract_witness(vs, "WSC", costs=costs)
-            bound = dimensions.wsc_value(vs, costs)
-            transcript = adversary.play_tree_adversary(tree, learner)
-            achieved = transcript.total_cost
-        else:
-            tree = dimensions.extract_witness(vs, "SCL", costs=learner.costs)
-            bound = dimensions.scl_value(vs, learner.costs)
-            transcript = adversary.play_tree_adversary(tree, learner)
-            achieved = transcript.total_cost
+        # ScSoa plays at unit costs, so its total cost counts its mistakes.
+        kind, value, game = {
+            "sc-soa": ("SC", dimensions.sc_value, {"k": args.k}),
+            "wsc-soa": ("WSC", dimensions.wsc_value, {"costs": learner.costs}),
+            "scl-soa": ("SCL", dimensions.scl_value, {"costs": learner.costs}),
+        }[args.learner]
+        tree = dimensions.extract_witness(vs, kind, **game)
+        bound = value(vs, **game)
+        transcript = adversary.play_tree_adversary(tree, learner)
+        achieved = transcript.total_cost
         if achieved == bound:
             verdict = "tight"
         elif achieved > bound:

@@ -31,7 +31,6 @@ from .core import (
     ALL_CORRECT,
     CostVector,
     CotInstance,
-    Label,
     MalformedTree,
     NoWitness,
     PrefixInstance,
@@ -91,19 +90,22 @@ def _cached(vclass: VerifierClass, key, make):
     return obj
 
 
+def _first_of(pairs) -> dict:
+    """{key: the first item paired with it} over (item, key) pairs, with
+    the keys in order of first appearance."""
+    first = {}
+    for item, key in pairs:
+        first.setdefault(key, item)
+    return first
+
+
 def _distinct_masks(vclass: VerifierClass) -> dict[int, PrefixInstance]:
     """The class's distinct yes-masks in order of first appearance, each
     mapped to the first universe instance that has it.  A repeated mask
     adds no split: the engines scan these instead of the whole universe,
     and a witness node asks the instance of its realizing mask."""
-
-    def make():
-        first = {}
-        for z, m in zip(vclass.universe, vclass.yes_masks):
-            first.setdefault(m, z)
-        return first
-
-    return _cached(vclass, "distinct_masks", make)
+    return _cached(vclass, "distinct_masks",
+                   lambda: _first_of(zip(vclass.universe, vclass.yes_masks)))
 
 
 def _ldim_engine(vclass: VerifierClass):
@@ -130,11 +132,13 @@ def _wsc_engine(vclass: VerifierClass, ws: int, wc: int):
                    lambda: kernels.wsc_engine(list(_distinct_masks(vclass)), ws, wc))
 
 
-def _scl_label_masks(vclass: VerifierClass) -> list[tuple[tuple[Label, int], ...]]:
-    """Per full trace (in cot_instances order), its label partition."""
-    return _cached(vclass, "scl_labels", lambda: [
-        vclass.cot_partition(z) for z in cot_instances(vclass)
-    ])
+def _scl_label_masks(vclass: VerifierClass) -> dict[tuple, CotInstance]:
+    """The distinct label partitions of the full traces in cot_instances
+    order, each mapped to the first trace that has it.  Traces with one
+    partition offer the same moves: the SCL engine scans these, and a
+    witness node asks the trace of its realizing partition."""
+    return _cached(vclass, "scl_labels", lambda: _first_of(
+        (z, vclass.cot_partition(z)) for z in cot_instances(vclass)))
 
 
 def _scl_engine(vclass: VerifierClass, ws: int, wc: int, wl: int):
@@ -284,9 +288,7 @@ def _extract_scl(vs: VersionSpace, costs: CostVector) -> MistakeTree:
     ws, wc, wl, _ = integer_costs(costs.gamma_s, costs.gamma_c, costs.gamma_l)
     eng = _scl_engine(vs.vclass, ws, wc, wl)
     memo = eng.memo
-    first = {}
-    for z, parts in zip(cot_instances(vs.vclass), _scl_label_masks(vs.vclass)):
-        first.setdefault(parts, z)
+    first = _scl_label_masks(vs.vclass)
 
     def value(alive):
         return memo[alive] if alive & (alive - 1) else 0

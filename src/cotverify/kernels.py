@@ -17,16 +17,17 @@ is the exact value of its version space, never a bound.  The engines take
 the class's distinct yes-masks: a repeated mask always projects onto a
 split the node has already tried.
 
-The SCL game is not pruned, but a node hands its children only the traces
-that split it: a trace whose label groups leave the node whole leaves
-every subset of it whole too.  Each label group's child is solved once
-per trace, and the trace's best moves follow from those values: the s/c
-move from the largest fault value, the l/l move from the second largest.
+The SCL game is not pruned.  Its engine takes the distinct label
+partitions of the class's traces, and a node hands its children only the
+partitions that split it: one whose groups leave the node whole leaves
+every subset of it whole too.  Each group's child is solved once per
+partition, and its best moves follow from those values: the s/c move from
+the largest fault value, the l/l move from the second largest.
 
 Beside each memo entry the search records the node's realizing move: the
 first move in scan order that raised the node's best to its final value,
 or None for a value of 0.  For the prefix games that is the distinct
-yes-mask that splits the node, for SCL the label partition of the trace.
+yes-mask that splits the node, for SCL the distinct label partition.
 A move before it in scan order has a lower value, so it is the first
 realizing move of a full scan, and the children it names were solved on
 the way.  Witness extraction follows these moves and searches nothing.
@@ -186,12 +187,12 @@ def wsc_ldim(yes_masks, ws, wc, memo, moves, stats, alive):
 def scl_ldim(label_masks, ws, wc, wl, memo, moves, stats, alive):
     """Sequence-level weighted dimension.
 
-    label_masks: per trace, the (label, mask) pairs of
-    VerifierClass.cot_partition: label 1..L for a first-fault location and
-    ALL_CORRECT, last, for a fully correct trace.  At each node the
-    adversary commits to either two distinct fault labels (two l-edges) or
-    one fault label plus the all-correct label (s-edge + c-edge).  The
-    list may omit any trace that does not split alive.
+    label_masks: the distinct label partitions of the traces, each the
+    (label, mask) pairs of VerifierClass.cot_partition: label 1..L for a
+    first-fault location and ALL_CORRECT, last, for a fully correct trace.
+    At each node the adversary commits to either two distinct fault labels
+    (two l-edges) or one fault label plus the all-correct label (s-edge +
+    c-edge).  The list may omit any partition that does not split alive.
     """
     if alive & (alive - 1) == 0:
         return 0
@@ -200,8 +201,8 @@ def scl_ldim(label_masks, ws, wc, wl, memo, moves, stats, alive):
         stats[1] += 1
         return cached
     stats[0] += 1
-    # The groups partition the verifiers, so a trace splits alive unless
-    # the first group meeting alive holds all of it.
+    # The groups partition the verifiers, so a partition splits alive
+    # unless the first group meeting alive holds all of it.
     live = []
     for pairs in label_masks:
         for _, m in pairs:
@@ -213,8 +214,8 @@ def scl_ldim(label_masks, ws, wc, wl, memo, moves, stats, alive):
     move = None
     for pairs in live:
         # The two largest fault values and the all-correct value; -1 for
-        # none.  A live trace has two groups, so with an all-correct group
-        # it has a fault group too.
+        # none.  A live partition has two groups, so with an all-correct
+        # group it has a fault group too.
         top = second = inf_val = -1
         for label, m in pairs:
             sub = m & alive

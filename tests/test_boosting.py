@@ -254,7 +254,7 @@ def test_timeout_budget_and_cap(setup):
     ps, params = setup["prover_set"], setup["params"]
     budget = boosting.timeout_budget(ps.alpha, ps.k, 4, params.epsilon_prime)
     assert budget == 11
-    assert boosting.oracle_call_cap(params, ps, 4) == 4 * 2 * 11 + 4
+    assert boosting.oracle_call_cap(params, ps, 4) == 4 * 2 * 11
 
 
 def test_sample_sizes(setup):
@@ -342,10 +342,10 @@ def test_build_and_evaluate_pipeline(setup):
 # elimination, when one generator drove training and every snapshot was
 # tested on every S2 problem.
 UNSTOPPED_REPORT = (
-    '{"complete_errors": [957, 957, 0], "oracle_call_cap_per_example": 92, '
+    '{"complete_errors": [957, 957, 0], "oracle_call_cap_per_example": 88, '
     '"s1_size": 139, "s2_size": 1300, "selected": 2, "snapshots": 3, '
-    '"sound_errors": [0, 0, 0], "test_oracle_calls": 38575, '
-    '"train_oracle_calls": 2646}'
+    '"sound_errors": [0, 0, 0], "test_oracle_calls": 9661, '
+    '"train_oracle_calls": 2246}'
 )
 
 
@@ -441,9 +441,11 @@ class _CountingOracle:
         self.oracle = oracle
         self.vclass = oracle.vclass
         self.calls = 0
+        self.asked = collections.Counter()
 
     def prefix_label(self, z):
         self.calls += 1
+        self.asked[z] += 1
         return self.oracle.prefix_label(z)
 
 
@@ -591,7 +593,8 @@ def _reference_walk(x, prover_set, params, h, vclass, rng):
 
 
 def _reference_test(x, prover_set, params, h, oracle, rng):
-    """test_hypothesis on the reference walk."""
+    """test_hypothesis on the reference walk: an abstention asks about each
+    distinct rejected prefix once, in order of first rejection."""
     outcome, rejected = _reference_walk(
         x, prover_set, params, h, oracle.vclass, rng)
     calls = 0
@@ -601,7 +604,11 @@ def _reference_test(x, prover_set, params, h, oracle, rng):
             if not oracle.prefix_label(z):
                 return boosting.TestResult.SOUNDNESS_MISTAKE, calls
     else:
+        asked = []
         for z in rejected:
+            if z in asked:
+                continue
+            asked.append(z)
             calls += 1
             if oracle.prefix_label(z):
                 return boosting.TestResult.COMPLETENESS_MISTAKE, calls
@@ -631,11 +638,6 @@ def _reference_process(x, prover_set, params, learner, oracle, rng):
         if accepted is None:
             return boosting.ProcessResult.TIMEOUT, calls
         steps = accepted.steps
-    for z in CotInstance(x, steps).prefixes():
-        calls += 1
-        if not oracle.prefix_label(z):
-            learner.update(z, False)
-            return boosting.ProcessResult.MADE_MISTAKE, calls
     return boosting.ProcessResult.FULL_PROOF, calls
 
 
@@ -697,6 +699,54 @@ def test_indexed_walkers_equal_the_prefix_walkers(
     assert (trained.vs.alive, trained.k) == (ref_trained.vs.alive,
                                              ref_trained.k)
     assert rng.getstate() == ref_rng.getstate()
+
+
+def _repeat_asking_result(outcome, rejected, oracle):
+    """The grade of a walk when the oracle is asked about every rejection,
+    repeats included."""
+    if outcome.is_proof:
+        if all(oracle.prefix_label(z) for z in outcome.trace.prefixes()):
+            return boosting.TestResult.CORRECT
+        return boosting.TestResult.SOUNDNESS_MISTAKE
+    if any(oracle.prefix_label(z) for z in rejected):
+        return boosting.TestResult.COMPLETENESS_MISTAKE
+    return boosting.TestResult.CORRECT
+
+
+@pytest.mark.parametrize("kind", ["snapshot", "reject-all"])
+@given(tables=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+       x=st.integers(0, scenario.N_PROBLEMS - 1),
+       alive=st.integers(0, 255), k=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_test_hypothesis_labels_each_prefix_once(
+        setup, kind, tables, seed, x, alive, k):
+    """test_hypothesis never asks the oracle about one prefix twice.  On an
+    abstention it asks about the distinct rejected prefixes in order of
+    first rejection, up to and including the first correct one, and it
+    grades the walk as asking about every rejection would."""
+    vc, oracle, params = setup["vclass"], setup["oracle"], setup["params"]
+    prover_set = _random_prover_set(tables)
+    if kind == "snapshot":
+        learner = ScSoa(vc, k)
+        learner.vs = VersionSpace(vc, alive | 1 << scenario.TARGET)
+        h = boosting.CachedVerdict(learner.snapshot(), vc)
+    else:
+        h = lambda z: False
+    counting = _CountingOracle(oracle)
+    result, calls = boosting.test_hypothesis(
+        x, prover_set, params, h, counting, random.Random(seed))
+    outcome, rejected = boosting._walk(
+        x, prover_set, params, h, vc, random.Random(seed))
+    assert calls == counting.calls
+    assert max(counting.asked.values()) == 1
+    if outcome.is_proof:
+        assert calls <= vc.L
+    else:
+        distinct = list(dict.fromkeys(rejected))
+        asked = next((i + 1 for i, z in enumerate(distinct)
+                      if oracle.prefix_label(z)), len(distinct))
+        assert list(counting.asked) == distinct[:asked]
+    assert result is _repeat_asking_result(outcome, rejected, oracle)
 
 
 class _CountingVerdict:

@@ -1,6 +1,7 @@
 """CLI subcommands: reports, exit codes, and byte-level determinism."""
 
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scenario
-from cotverify import cli, families
-from cotverify.core import cot_instances
+from cotverify import cli, dimensions, families
+from cotverify.core import (
+    PrefixInstance, Problem, StepToken, VerifierClass, cot_instances)
 
 
 def run_cli(*argv):
@@ -53,6 +55,26 @@ def test_dim_with_witness(class_files, tmp_path):
     assert report["value"] == "3/1"
     assert report["witness_verified"] is True
     assert report["witness_dot"].startswith("digraph")
+
+
+def test_dim_witness_must_certify_the_value(class_files, capsys, monkeypatch):
+    """A witness that is shattered but whose shortest path falls short of
+    the value is not verified."""
+    extract = dimensions._extract_sc
+
+    def cut(vs, k):
+        tree = extract(vs, k)
+        edges = tuple(dataclasses.replace(e, child=None)
+                      for e in tree.root.edges)
+        return dataclasses.replace(
+            tree, root=dataclasses.replace(tree.root, edges=edges))
+
+    monkeypatch.setattr(dimensions, "_extract_sc", cut)
+    assert run_cli("dim", "--class", class_files["indicator4"],
+                   "--kind", "sc", "--k", "0", "--witness") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["value"] == "3/1"
+    assert report["witness_verified"] is False
 
 
 def test_dim_kinds(class_files, capsys):
@@ -118,6 +140,20 @@ def test_duel_tree_tight(class_files, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "tight"
     assert report["achieved"] == report["bound"]
+
+
+@pytest.mark.parametrize("learner", ["sc-soa", "wsc-soa", "scl-soa"])
+def test_duel_tree_on_a_zero_dimension_exits_2(tmp_path, capsys, learner):
+    """A one-verifier class has dimension 0 in every game, so the tree
+    adversary has no witness to play."""
+    vc = VerifierClass.from_masks(
+        [StepToken(0, "0"), StepToken(1, "1")], [Problem(0, "x")], 1,
+        [(PrefixInstance(0, (t,)), 1) for t in (0, 1)], 1)
+    path = str(tmp_path / "one.json")
+    families.save_class(vc, path)
+    assert run_cli("duel", "--class", path, "--learner", learner,
+                   "--adversary", "tree") == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: dimension is 0\n"
 
 
 def test_duel_prop31(class_files, capsys):

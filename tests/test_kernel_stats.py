@@ -1,4 +1,5 @@
-"""Pinned search counters of the benchmark's twenty `dim` games.
+"""Pinned search counters of the benchmark's twenty `dim` games, and of
+two SCL games whose classes repeat label partitions.
 
 Each game is solved cold on a freshly built class, as one `cotverify dim`
 run does.  A change to the kernels that moves any of these figures
@@ -47,6 +48,10 @@ GAMES = [
     ("river14", "sc", 1, None, 5, 158, 557),
     ("failtoken4", "ldim", 0, None, 4, 15, 0),
     ("failtoken4", "scl", 0, (3, 2, 1), 5, 15, 178),
+    # Repeated label partitions: 1024 traces but 56 partitions, and 86
+    # traces but 28.
+    ("indicator10", "scl", 0, (3, 2, 1), 2, 9, 184),
+    ("river14", "scl", 0, (3, 2, 1), 7, 243, 5266),
 ]
 
 
