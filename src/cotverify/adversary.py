@@ -20,12 +20,11 @@ from .core import (
     Transcript,
     TreeNotShattered,
     VersionSpace,
-    classify_mistake,
-    classify_prefix_mistake,
     fault_at,
     is_fault,
 )
 from .dimensions import MistakeTree, _min_paths, _remainder, verify_shattered
+from .learners import play_round
 
 
 def _learner_space(learner) -> VersionSpace:
@@ -45,6 +44,7 @@ def play_tree_adversary(tree: MistakeTree, learner) -> Transcript:
     if not verify_shattered(tree, space):
         raise TreeNotShattered("tree is not shattered by the class")
     below = _min_paths(tree.root)
+    mode = "sequence-level" if tree.kind == "SCL" else "prefix-level"
     transcript = Transcript()
     node = tree.root
     while node is not None:
@@ -52,16 +52,7 @@ def play_tree_adversary(tree: MistakeTree, learner) -> Transcript:
         contradicting = [e for e in node.edges if e.label != pred]
         # Descend toward the costlier guaranteed remainder.
         edge = max(contradicting, key=lambda e: _remainder(e, below))
-        truth = edge.label
-        if tree.kind == "SCL":
-            kind = classify_mistake(pred, truth, "sequence-level")
-        elif isinstance(node.instance, CotInstance):
-            kind = classify_mistake(pred, truth, "prefix-level")
-        else:
-            kind = classify_prefix_mistake(pred, truth)
-        transcript.record(node.instance, pred, truth, kind,
-                          learner.costs.of(kind))
-        learner.update(node.instance, truth)
+        play_round(transcript, learner, node.instance, pred, edge.label, mode)
         node = edge.child
     return transcript
 
@@ -84,9 +75,7 @@ def prop31_adversary(L: int, learner) -> Transcript:
         pred = learner.predict(z)
         candidates = [fault_at(len(committed) + 1), fault_at(len(committed) + 2)]
         truth = candidates[1] if pred == candidates[0] else candidates[0]
-        kind = classify_mistake(pred, truth, "prefix-level")
-        transcript.record(z, pred, truth, kind, learner.costs.of(kind))
-        learner.update(z, truth)
+        play_round(transcript, learner, z, pred, truth, "prefix-level")
         j = int(truth)
         committed = steps[: j - 1] + (1 - steps[j - 1],)
         space = space.restrict_cot(z, truth)
@@ -124,9 +113,7 @@ def prop32_adversary(n: int, learner, L: Optional[int] = None) -> Transcript:
         else:
             # Only verifier n-1 is left; it faults its own trace's last step.
             truth = fault_at(L)
-        kind = classify_mistake(pred, truth, "prefix-level")
-        transcript.record(z, pred, truth, kind, learner.costs.of(kind))
-        learner.update(z, truth)
+        play_round(transcript, learner, z, pred, truth, "prefix-level")
         space = space.restrict_cot(z, truth)
         assert space.alive != 0, "revealed labels left no consistent target"
     return transcript

@@ -706,7 +706,10 @@ def evaluate_vhp(
     oracle: Oracle,
     rng: random.Random,
 ) -> dict:
-    """Empirical abstain/incorrect/correct rates as exact fractions."""
+    """Empirical abstain/incorrect/correct rates as exact fractions over
+    n_trials >= 1 draws."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     problem_dist = _compile(D, "D")
     abstain = incorrect = correct = 0
     for _ in range(n_trials):

@@ -277,9 +277,6 @@ class VerifierClass:
     def __contains__(self, z: PrefixInstance) -> bool:
         return (z.problem, z.steps) in self.index
 
-    def accepts(self, verifier_id: int, z: PrefixInstance) -> PrefixLabel:
-        return self.yes_masks[self.index_of(z)] >> verifier_id & 1 == 1
-
     def cot_label_of(self, verifier_id: int, z: CotInstance) -> Label:
         """First prefix of z the verifier rejects, ALL_CORRECT if none,
         read from the cached prefix masks.
@@ -352,17 +349,6 @@ class VerifierClass:
     def full_mask(self) -> int:
         return (1 << self.n_verifiers) - 1
 
-    def equal_canonical(self, other: "VerifierClass") -> bool:
-        return (
-            self.sigma == other.sigma
-            and self.problems == other.problems
-            and self.L == other.L
-            and self.fail_token == other.fail_token
-            and self.universe == other.universe
-            and self.n_verifiers == other.n_verifiers
-            and self.yes_masks == other.yes_masks
-        )
-
 
 @dataclass(frozen=True)
 class VersionSpace:
@@ -433,7 +419,8 @@ class Oracle:
             )
 
     def prefix_label(self, z: PrefixInstance) -> PrefixLabel:
-        return self.vclass.accepts(self.target, z)
+        vclass = self.vclass
+        return vclass.yes_masks[vclass.index_of(z)] >> self.target & 1 == 1
 
     def cot_label(self, z: CotInstance) -> Label:
         """The target's first rejected prefix of z."""
@@ -470,14 +457,6 @@ def classify_mistake(
             return MistakeKind.COMPLETENESS
         return MistakeKind.LOCATION
     raise ValueError(f"unknown mode: {mode}")
-
-
-def classify_prefix_mistake(
-    prediction: PrefixLabel, truth: PrefixLabel
-) -> MistakeKind:
-    if prediction == truth:
-        return MistakeKind.NONE
-    return MistakeKind.SOUNDNESS if prediction == YES else MistakeKind.COMPLETENESS
 
 
 # The cost of a round without a mistake; Fractions are immutable, so one
@@ -558,27 +537,6 @@ class Transcript:
     @property
     def total_cost(self) -> Fraction:
         return sum((r.cost for r in self.rounds), Fraction(0))
-
-    def totals_consistent(self, costs: CostVector) -> bool:
-        expected = (
-            costs.gamma_s * self.soundness_mistakes
-            + costs.gamma_c * self.completeness_mistakes
-            + costs.gamma_l * self.location_mistakes
-        )
-        return self.total_cost == expected
-
-
-def check_realizable(
-    vclass: VerifierClass,
-    labeled: Iterable[tuple[PrefixInstance, PrefixLabel]],
-) -> Optional[int]:
-    """Some verifier id consistent with all labeled pairs, or None."""
-    alive = VersionSpace.full(vclass)
-    for z, y in labeled:
-        alive = alive.restrict(z, y)
-    if alive.alive == 0:
-        return None
-    return alive.alive.bit_length() - 1
 
 
 def validate_fail_token(vclass: VerifierClass) -> None:

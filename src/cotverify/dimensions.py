@@ -266,6 +266,8 @@ def _extract_wsc(vs: VersionSpace, costs: CostVector) -> MistakeTree:
 
 
 def _extract_sc(vs: VersionSpace, k: int) -> MistakeTree:
+    if k < 0:
+        raise ValueError("budget k must be >= 0")
     eng = _sc_engine(vs.vclass)
     first = _distinct_masks(vs.vclass)
     one = Fraction(1)

@@ -6,6 +6,13 @@ freezes the current state into a standalone predictor.  Chain-of-thought
 learners consume CotInstances and emit fault labels; prefix learners
 consume PrefixInstances and emit accept/reject verdicts.
 
+``update`` rebinds a learner's attributes to new values and never
+mutates one in place, so a shallow copy (``Learner.frozen``) is a frozen
+snapshot: later updates of the learner leave it unchanged.  The
+reductions' copies also freeze the inner learner they update.  Every
+driver of a game, ``run_online`` and the adversaries, records its rounds
+through ``play_round``.
+
 All learners assume realizable runs: the oracle's target verifier stays
 in the version space forever, and an empty version space is a harness
 bug, not a recoverable condition.
@@ -32,23 +39,31 @@ from .core import (
     VerifierClass,
     VersionSpace,
     classify_mistake,
-    classify_prefix_mistake,
     fault_at,
 )
 
 _UNIT_COSTS = CostVector(Fraction(1), Fraction(1), Fraction(0))
 
 
-class _SpaceLearner:
+class Learner:
+    """Base of every learner and reduction: update rebinds attributes and
+    never mutates one in place, so a shallow copy is frozen."""
+
+    def frozen(self):
+        """A copy of this learner that its later updates leave unchanged."""
+        return copy.copy(self)
+
+    def snapshot(self) -> Callable:
+        return self.frozen().predict
+
+
+class _SpaceLearner(Learner):
     """Base of the learners whose state is a version space plus immutable
-    values, so that a shallow copy is a frozen snapshot."""
+    values."""
 
     def __init__(self, vclass: VerifierClass, costs: CostVector = _UNIT_COSTS):
         self.vs = VersionSpace.full(vclass)
         self.costs = costs
-
-    def snapshot(self) -> Callable:
-        return copy.copy(self).predict
 
 
 class MajorityVote(_SpaceLearner):
@@ -104,15 +119,15 @@ class SoundConservative(_SpaceLearner):
             self.vs = self.vs.restrict_cot(z, truth)
 
 
-class RiverCrossingSound:
+class RiverCrossingSound(Learner):
     """Sound learner for the river-crossing move graph.
 
-    Accepts a trace prefix while every move lies in the revealed edges
-    plus the accumulated learned set; each completeness mistake reveals
-    one hidden edge, so total mistakes never exceed the hidden-edge count.
-    The class's fail token, if it has one, is a step no move reaches: the
-    first one in a trace is a fault, as every verifier of a fail-token
-    class rejects it.
+    Accepts a trace prefix while every move lies in the allowed edges:
+    the revealed ones plus those learned so far.  Each completeness
+    mistake allows one hidden edge, so total mistakes never exceed the
+    hidden-edge count.  The class's fail token, if it has one, is a step
+    no move reaches: the first one in a trace is a fault, as every
+    verifier of a fail-token class rejects it.
     """
 
     mode = "cot"
@@ -142,26 +157,21 @@ class RiverCrossingSound:
 
         self.start = RIVER_START
         self.goal = RIVER_GOAL
-        self.revealed = frozenset(revealed_edges)
-        self.learned: set[tuple[tuple, tuple]] = set()
+        self.allowed = frozenset(revealed_edges)
 
-    def _first_fault(self, z: CotInstance) -> Label:
+    def predict(self, z: CotInstance) -> Label:
         path = [self.states[s] for s in z.steps]
-        allowed = self.revealed | self.learned
         if path[0] != self.start:
             return fault_at(1)
         for i in range(1, len(path)):
-            if (path[i - 1], path[i]) not in allowed:
+            if (path[i - 1], path[i]) not in self.allowed:
                 return fault_at(i + 1)
         if len(path) == self.vclass.L and path[-1] != self.goal:
             return fault_at(len(path))
         return ALL_CORRECT
 
-    def predict(self, z: CotInstance) -> Label:
-        return self._first_fault(z)
-
     def update(self, z: CotInstance, truth: Label) -> None:
-        pred = self._first_fault(z)
+        pred = self.predict(z)
         if pred == truth or pred == ALL_CORRECT:
             return
         # Completeness mistake: the move we faulted is actually legal.
@@ -169,12 +179,7 @@ class RiverCrossingSound:
             path = [self.states[s] for s in z.steps]
             ell = int(pred)
             if ell >= 2:
-                self.learned.add((path[ell - 2], path[ell - 1]))
-
-    def snapshot(self) -> Callable[[CotInstance], Label]:
-        frozen = RiverCrossingSound(self.vclass, self.revealed, self.costs)
-        frozen.learned = set(self.learned)
-        return frozen.predict
+                self.allowed = self.allowed | {(path[ell - 2], path[ell - 1])}
 
 
 class ScSoa(_SpaceLearner):
@@ -193,8 +198,8 @@ class ScSoa(_SpaceLearner):
         super().__init__(vclass, costs)
         self.k = k
 
-    @staticmethod
-    def _predict(vs: VersionSpace, k: int, z: PrefixInstance) -> PrefixLabel:
+    def predict(self, z: PrefixInstance) -> PrefixLabel:
+        vs, k = self.vs, self.k
         if vs.alive == 0:
             raise EmptyVersionSpace("no verifier consistent with history")
         ym = vs.yes_mask(z)
@@ -206,18 +211,11 @@ class ScSoa(_SpaceLearner):
         m_s = dimensions.sc_value(vs.restrict(z, False), k - 1)
         return not (m_c <= m_s)
 
-    def predict(self, z: PrefixInstance) -> PrefixLabel:
-        return self._predict(self.vs, self.k, z)
-
     def update(self, z: PrefixInstance, truth: PrefixLabel) -> None:
         pred = self.predict(z)
         if pred and not truth:
             self.k -= 1
         self.vs = self.vs.restrict(z, truth)
-
-    def snapshot(self) -> Callable[[PrefixInstance], PrefixLabel]:
-        vs, k = self.vs, self.k
-        return lambda z: ScSoa._predict(vs, k, z)
 
 
 class WscSoa(_SpaceLearner):
@@ -231,8 +229,8 @@ class WscSoa(_SpaceLearner):
     mode = "prefix"
     mistake_mode = "prefix-level"
 
-    @staticmethod
-    def _predict(vs: VersionSpace, costs: CostVector, z: PrefixInstance) -> PrefixLabel:
+    def predict(self, z: PrefixInstance) -> PrefixLabel:
+        vs, costs = self.vs, self.costs
         if vs.alive == 0:
             raise EmptyVersionSpace("no verifier consistent with history")
         ym = vs.yes_mask(z)
@@ -248,15 +246,8 @@ class WscSoa(_SpaceLearner):
         return (wc + m_c.numerator * (scale // m_c.denominator)
                 > ws + m_s.numerator * (scale // m_s.denominator))
 
-    def predict(self, z: PrefixInstance) -> PrefixLabel:
-        return self._predict(self.vs, self.costs, z)
-
     def update(self, z: PrefixInstance, truth: PrefixLabel) -> None:
         self.vs = self.vs.restrict(z, truth)
-
-    def snapshot(self) -> Callable[[PrefixInstance], PrefixLabel]:
-        vs, costs = self.vs, self.costs
-        return lambda z: WscSoa._predict(vs, costs, z)
 
 
 def _scl_loss(ws: int, wc: int, wl: int, pred: Label, truth: Label) -> int:
@@ -286,8 +277,8 @@ class SclSoa(_SpaceLearner):
         costs.require_ordered()
         super().__init__(vclass, costs)
 
-    @staticmethod
-    def _predict(vs: VersionSpace, costs: CostVector, z: CotInstance) -> Label:
+    def predict(self, z: CotInstance) -> Label:
+        vs, costs = self.vs, self.costs
         if vs.alive == 0:
             raise EmptyVersionSpace("no verifier consistent with history")
         labels = sorted(vs.cot_labels(z))
@@ -308,15 +299,8 @@ class SclSoa(_SpaceLearner):
                 best, best_worst = i, worst
         return best
 
-    def predict(self, z: CotInstance) -> Label:
-        return self._predict(self.vs, self.costs, z)
-
     def update(self, z: CotInstance, truth: Label) -> None:
         self.vs = self.vs.restrict_cot(z, truth)
-
-    def snapshot(self) -> Callable[[CotInstance], Label]:
-        vs, costs = self.vs, self.costs
-        return lambda z: SclSoa._predict(vs, costs, z)
 
 
 class RejectAll(_SpaceLearner):
@@ -369,24 +353,27 @@ class ConservativeWrapper:
         return self.snapshots[-1]
 
 
+def play_round(transcript: Transcript, learner, z, pred, truth, mode: str) -> None:
+    """Record one round of a game and fold its truth into the learner: the
+    mistake of pred against truth is classified in the given mode and
+    priced at the learner's costs."""
+    kind = classify_mistake(pred, truth, mode)
+    transcript.record(z, pred, truth, kind, learner.costs.of(kind))
+    learner.update(z, truth)
+
+
 def run_online(
     learner,
     oracle: Oracle,
     sequence: Sequence,
 ) -> Transcript:
-    """Drive one online session and return the per-round transcript; each
-    mistake costs what the learner's costs say, unit costs if it has
-    none."""
-    costs = getattr(learner, "costs", _UNIT_COSTS)
+    """Drive one online session and return the per-round transcript."""
     transcript = Transcript()
     for z in sequence:
         pred = learner.predict(z)
         if isinstance(z, CotInstance):
-            truth = oracle.cot_label(z)
-            kind = classify_mistake(pred, truth, learner.mistake_mode)
+            truth, mode = oracle.cot_label(z), learner.mistake_mode
         else:
-            truth = oracle.prefix_label(z)
-            kind = classify_prefix_mistake(pred, truth)
-        transcript.record(z, pred, truth, kind, costs.of(kind))
-        learner.update(z, truth)
+            truth, mode = oracle.prefix_label(z), "prefix-level"
+        play_round(transcript, learner, z, pred, truth, mode)
     return transcript

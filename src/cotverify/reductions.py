@@ -8,12 +8,16 @@ rejects after a correct prefix.
 
 Both wrappers update the inner learner only on mistake rounds, and both
 preserve soundness/completeness mistake budgets: each outer mistake
-coincides with exactly one inner mistake of the same kind.
+coincides with exactly one inner mistake of the same kind.  A wrapper's
+update rebinds nothing of its own but updates its inner learner, so its
+frozen copy (``_Reduction.frozen``) holds a frozen copy of the inner
+learner too; ``snapshot()`` is the frozen copy's ``predict``, as for
+every learner.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import copy
 
 from .core import (
     ALL_CORRECT,
@@ -25,9 +29,19 @@ from .core import (
     fault_at,
     validate_fail_token,
 )
+from .learners import Learner
 
 
-class CotFromPrefix:
+class _Reduction(Learner):
+    """A learner that updates an inner learner, held as ``inner``."""
+
+    def frozen(self):
+        twin = copy.copy(self)
+        twin.inner = self.inner.frozen()
+        return twin
+
+
+class CotFromPrefix(_Reduction):
     """Fault-location learner built from a prefix accept/reject learner."""
 
     mode = "cot"
@@ -54,19 +68,8 @@ class CotFromPrefix:
             # Soundness mistake: we accepted through the true fault.
             self.inner.update(z.prefix(int(truth)), False)
 
-    def snapshot(self) -> Callable[[CotInstance], Label]:
-        inner_predict = self.inner.snapshot()
 
-        def predict(z: CotInstance) -> Label:
-            for ell in range(1, len(z.steps) + 1):
-                if not inner_predict(z.prefix(ell)):
-                    return fault_at(ell)
-            return ALL_CORRECT
-
-        return predict
-
-
-class PrefixFromCot:
+class PrefixFromCot(_Reduction):
     """Prefix accept/reject learner built from a fault-location learner.
 
     Requires the class to declare a fail token: padding any prefix with
@@ -101,11 +104,6 @@ class PrefixFromCot:
             self.inner.update(padded, fault_at(ell + 1))
         else:
             self.inner.update(padded, ALL_CORRECT)
-
-    def snapshot(self) -> Callable[[PrefixInstance], PrefixLabel]:
-        inner_predict = self.inner.snapshot()
-        padded = self._padded
-        return lambda z: not inner_predict(padded(z)) <= len(z.steps)
 
 
 def cot_from_prefix(prefix_learner) -> CotFromPrefix:

@@ -2,7 +2,8 @@
 
 Learner predictions here depend only on the version space (plus any
 scalar budget), so sweeping reachable states covers every realizable
-sequence without enumerating them one by one.
+sequence without enumerating them one by one: at each state the sweep
+asks a learner set to that state.
 """
 
 from fractions import Fraction
@@ -14,11 +15,17 @@ from cotverify.core import (
     Transcript,
     VersionSpace,
     classify_mistake,
-    classify_prefix_mistake,
     cot_instances,
     fault_at,
 )
 from cotverify.learners import ScSoa, WscSoa
+
+
+def sc_soa_at(vs, k):
+    """An SC-SOA learner at version space vs with budget k left."""
+    learner = ScSoa(vs.vclass, k)
+    learner.vs = vs
+    return learner
 
 
 def sc_soa_worst(vclass, k0, horizon):
@@ -31,11 +38,11 @@ def sc_soa_worst(vclass, k0, horizon):
     def go(alive, k, d):
         if d == 0:
             return 0, 0
-        vs = VersionSpace(vclass, alive)
+        learner = sc_soa_at(VersionSpace(vclass, alive), k)
         best_t = best_s = 0
         for i, z in enumerate(universe):
             ym = masks[i] & alive
-            pred = ScSoa._predict(vs, k, z)
+            pred = learner.predict(z)
             for truth in (True, False):
                 nxt = ym if truth else alive & ~masks[i]
                 if nxt == 0:
@@ -55,12 +62,13 @@ def wsc_telescoping_violations(vclass, costs):
     version space, instance, and consistent truth."""
     violations = []
     n = len(vclass)
+    learner = WscSoa(vclass, costs)
     for alive in range(1, 1 << n):
-        vs = VersionSpace(vclass, alive)
+        vs = learner.vs = VersionSpace(vclass, alive)
         before = dimensions.wsc_value(vs, costs)
         for z in vclass.universe:
             ym = vs.yes_mask(z)
-            pred = WscSoa._predict(vs, costs, z)
+            pred = learner.predict(z)
             for truth in (True, False):
                 nxt = ym if truth else alive & ~vclass.yes_masks[
                     vclass.index_of(z)
@@ -94,11 +102,12 @@ def cot_reduction_worst(vclass, k0, horizon):
         if d == 0:
             return 0, 0
         vs = VersionSpace(vclass, alive)
+        learner = sc_soa_at(vs, k)
         best_t = best_s = 0
         for z in traces:
             pred = ALL_CORRECT
             for ell in range(1, vclass.L + 1):
-                if not ScSoa._predict(vs, k, z.prefix(ell)):
+                if not learner.predict(z.prefix(ell)):
                     pred = fault_at(ell)
                     break
             for truth in vs.cot_labels(z):
@@ -154,7 +163,7 @@ def run_protocol_prefixes(learner, oracle, traces):
             z = trace.prefix(ell)
             pred = learner.predict(z)
             truth = oracle.prefix_label(z)
-            kind = classify_prefix_mistake(pred, truth)
+            kind = classify_mistake(pred, truth, "prefix-level")
             transcript.record(z, pred, truth, kind, learner.costs.of(kind))
             learner.update(z, truth)
             if not truth:

@@ -25,7 +25,8 @@ Every run contributes its argv, exit code and the sha256 of its stdout
 and of its stderr, and a ``families`` run the sha256 of the class file
 it wrote.  The script prints one digest per group of runs and one over
 all of them; ``--verbose`` also prints one line per run, so that a diff
-of two outputs names the runs that differ.  Not collected by pytest.
+of two outputs names the runs that differ.  ``digests`` computes the
+same figures for ``tests/test_report_identity.py``, which pins them.
 """
 
 import contextlib
@@ -136,24 +137,38 @@ def runs():
         yield group, ["boost", "--scenario", path, "--verify-alpha"]
 
 
-def main(verbose: bool) -> None:
+def record() -> dict[str, list[str]]:
+    """Run the whole set in a temporary directory; return each group's
+    lines of the identity record, in run order."""
     groups: dict[str, list[str]] = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for group, argv in runs():
-                line = _run(argv)
-                groups.setdefault(group, []).append(line)
-                if verbose:
-                    print(line)
+                groups.setdefault(group, []).append(_run(argv))
         finally:
             os.chdir(cwd)
+    return groups
+
+
+def digests(groups: dict[str, list[str]]) -> dict[str, tuple[int, str]]:
+    """{group: (runs, sha256 of its lines)} for each group, then "all" over
+    every line."""
     every = [line for lines in groups.values() for line in lines]
-    for group, lines in groups.items():
-        print(f"{group}: {len(lines)} runs "
-              f"{_sha(chr(10).join(lines).encode())}")
-    print(f"all: {len(every)} runs {_sha(chr(10).join(every).encode())}")
+    out = {group: (len(lines), _sha("\n".join(lines).encode()))
+           for group, lines in groups.items()}
+    out["all"] = (len(every), _sha("\n".join(every).encode()))
+    return out
+
+
+def main(verbose: bool) -> None:
+    groups = record()
+    if verbose:
+        for lines in groups.values():
+            print("\n".join(lines))
+    for group, (count, digest) in digests(groups).items():
+        print(f"{group}: {count} runs {digest}")
 
 
 if __name__ == "__main__":

@@ -18,12 +18,16 @@ tests that write small classes by hand use it.  The ref_*_class builders
 are the family builders as they were before they computed yes-masks
 directly: each fills one bool per (instance, verifier) and goes through
 class_from_table.  The library builders must give equal classes.
+
+accepts, equal_canonical, check_realizable and totals_consistent are
+views of a class or a transcript that only tests read.
 """
 
 import itertools
 
 from cotverify.core import (
     ALL_CORRECT,
+    VersionSpace,
     FailTokenInvalid,
     FailTokenRequired,
     NoWitness,
@@ -409,3 +413,42 @@ def ref_product_class(sigma, problems, minis):
                 judged = [m(p.id, steps) for m in minis[ell - 1]]
                 table[z] = [judged[c[ell - 1]] for c in combos]
     return class_from_table(sigma, problems, L, table)
+
+
+def accepts(vclass, verifier_id, z):
+    """Whether the verifier accepts the universe instance z."""
+    return vclass.yes_masks[vclass.index_of(z)] >> verifier_id & 1 == 1
+
+
+def equal_canonical(a, b):
+    """Whether two classes hold the same canonical data."""
+    return (
+        a.sigma == b.sigma
+        and a.problems == b.problems
+        and a.L == b.L
+        and a.fail_token == b.fail_token
+        and a.universe == b.universe
+        and a.n_verifiers == b.n_verifiers
+        and a.yes_masks == b.yes_masks
+    )
+
+
+def check_realizable(vclass, labeled):
+    """Some verifier id consistent with all (prefix, label) pairs, or None."""
+    alive = VersionSpace.full(vclass)
+    for z, y in labeled:
+        alive = alive.restrict(z, y)
+    if alive.alive == 0:
+        return None
+    return alive.alive.bit_length() - 1
+
+
+def totals_consistent(transcript, costs):
+    """Whether the transcript's total cost is its mistake counts priced at
+    costs."""
+    expected = (
+        costs.gamma_s * transcript.soundness_mistakes
+        + costs.gamma_c * transcript.completeness_mistakes
+        + costs.gamma_l * transcript.location_mistakes
+    )
+    return transcript.total_cost == expected

@@ -336,6 +336,20 @@ def test_build_and_evaluate_pipeline(setup):
     assert rates["abstain"] <= Fraction(1, 2)
 
 
+def test_evaluate_vhp_needs_a_trial(setup):
+    vc = setup["vclass"]
+    vhp = boosting.build_vhp(
+        setup["prover_set"], setup["D"], setup["params"], ScSoa(vc, 0),
+        setup["oracle"], (0, 3), random.Random("trials:build"))
+    for n_trials in (0, -1):
+        with pytest.raises(ValueError, match="n_trials must be at least 1"):
+            boosting.evaluate_vhp(vhp, setup["D"], n_trials, setup["oracle"],
+                                  random.Random("trials:eval"))
+    rates = boosting.evaluate_vhp(vhp, setup["D"], 1, setup["oracle"],
+                                  random.Random("trials:eval"))
+    assert sum(rates.values()) == 1
+
+
 # -- S2 early elimination ---------------------------------------------------
 
 # build_vhp's report for Random("pipeline:build") before S2 early

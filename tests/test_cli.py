@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import reference
 import scenario
 from cotverify import cli, dimensions, families
 from cotverify.core import (
@@ -314,7 +315,7 @@ def fail_token_files(tmp_path_factory):
         for z in traces:
             for ell in range(1, vc.L + 1):
                 prefixes.append(z.prefix(ell))
-                if not vc.accepts(0, prefixes[-1]):
+                if not reference.accepts(vc, 0, prefixes[-1]):
                     break
         paths = [str(d / f"{name}{suffix}.json")
                  for suffix in ("", "-traces", "-prefixes")]

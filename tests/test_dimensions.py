@@ -129,6 +129,19 @@ def test_sc_witness_at_zero_budget():
     assert dimensions.certified_value(tree) == 3
 
 
+def test_sc_witness_refuses_a_negative_budget():
+    """extract_witness refuses a negative SC budget with sc_value's error,
+    before the search leaves any memo entry."""
+    vc = families.singleton_bitstring_class(3)
+    vs = VersionSpace.full(vc)
+    for query in (lambda: dimensions.extract_witness(vs, "SC", k=-1),
+                  lambda: dimensions.sc_value(vs, -1),
+                  lambda: dimensions.sc_ldim(vs, -1)):
+        with pytest.raises(ValueError, match="budget k must be >= 0"):
+            query()
+    assert dimensions._sc_engine(vc).memo == {}
+
+
 def test_dim_results_report_backend():
     vs = VersionSpace.full(families.indicator_class(3))
     res = dimensions.ldim(vs)

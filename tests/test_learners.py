@@ -1,5 +1,6 @@
 """Learner mistake bounds, invariants, and the conservative wrapper."""
 
+import argparse
 import itertools
 import math
 from fractions import Fraction
@@ -7,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import exhaust
-from cotverify import dimensions, families, reductions
+from reference import totals_consistent
+from cotverify import cli, dimensions, families, reductions
 from cotverify.core import (
     ALL_CORRECT,
     CostVector,
@@ -211,10 +213,82 @@ def test_snapshots_are_frozen(make):
     assert frozen(z) == before
 
 
+def _protocol_rounds(vc, mode, oracle):
+    """(instance, truth) for every round of a realizable run: each full
+    trace of the class in turn or, in prefix mode, each trace's prefixes
+    up to its first rejected one."""
+    for trace in cot_instances(vc):
+        if mode == "cot":
+            yield trace, oracle.cot_label(trace)
+            continue
+        for ell in range(1, vc.L + 1):
+            truth = oracle.prefix_label(trace.prefix(ell))
+            yield trace.prefix(ell), truth
+            if not truth:
+                break
+
+
+_SINGLETON3 = families.singleton_bitstring_class(3)
+_SINGLETON3_FAIL = families.with_fail_token(_SINGLETON3)
+_RIVER = families.river_crossing_class(families.river_edges()[:13], 4)
+
+
+@pytest.mark.parametrize("name, flag, vc", [
+    ("majority", None, _SINGLETON3),
+    ("sound-conservative", None, _SINGLETON3),
+    ("reject-all", None, _SINGLETON3),
+    ("river", None, _RIVER),
+    ("sc-soa", None, _SINGLETON3),
+    ("wsc-soa", None, _SINGLETON3),
+    ("scl-soa", None, _SINGLETON3),
+    ("sc-soa", "--via-prefix", _SINGLETON3_FAIL),
+    ("wsc-soa", "--via-prefix", _SINGLETON3_FAIL),
+    ("sound-conservative", "--via-cot", _SINGLETON3_FAIL),
+], ids=["majority", "sound-conservative", "reject-all", "river", "sc-soa",
+        "wsc-soa", "scl-soa", "sc-soa-via-prefix", "wsc-soa-via-prefix",
+        "sound-conservative-via-cot"])
+def test_cli_learners_stay_frozen_while_learning(name, flag, vc):
+    """Every learner the CLI builds, wrapped as run's flags wrap it: each
+    snapshot taken during a run answers every instance as a fresh learner
+    replayed to the snapshot's round does, after all the run's later
+    updates."""
+    args = argparse.Namespace(k=1, revealed=13, gamma_s=Fraction(2),
+                              gamma_c=Fraction(1), gamma_l=Fraction(0))
+
+    def make():
+        learner = cli._make_learner(name, vc, args)
+        if flag == "--via-prefix":
+            return reductions.cot_from_prefix(learner)
+        if flag == "--via-cot":
+            return reductions.prefix_from_cot(learner, vc)
+        return learner
+
+    most, changed = 0, False
+    for target in range(len(vc)):
+        learner = make()
+        domain = cot_instances(vc) if learner.mode == "cot" else vc.universe
+        rounds = list(_protocol_rounds(vc, learner.mode, Oracle(vc, target)))
+        snapshots, mistakes = [learner.snapshot()], 0
+        for z, truth in rounds:
+            mistakes += learner.predict(z) != truth
+            learner.update(z, truth)
+            snapshots.append(learner.snapshot())
+        most = max(most, mistakes)
+        changed |= any(snapshots[0](z) != learner.predict(z) for z in domain)
+        fresh = make()
+        for i, frozen in enumerate(snapshots):
+            assert ([frozen(z) for z in domain]
+                    == [fresh.predict(z) for z in domain]), (target, i)
+            if i < len(rounds):
+                fresh.update(*rounds[i])
+    # Some run made several mistake updates after its first snapshot.
+    assert most >= 2 and changed
+
+
 def test_run_online_dispatches_on_instance_type():
     vc = families.singleton_bitstring_class(2)
     oracle = Oracle(vc, 0)
     t = run_online(ScSoa(vc, 1), oracle, list(vc.universe))
-    assert t.totals_consistent(UNIT)
+    assert totals_consistent(t, UNIT)
     t2 = run_online(MajorityVote(vc), oracle, cot_instances(vc))
-    assert t2.totals_consistent(UNIT)
+    assert totals_consistent(t2, UNIT)

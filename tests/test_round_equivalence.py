@@ -226,11 +226,10 @@ def test_weighted_decisions_match_fraction_reference(seed, gammas):
     gamma_s, gamma_c, gamma_l = sorted(gammas, reverse=True)
     wsc_costs = CostVector(gammas[0], gammas[1], gammas[2])
     scl_costs = CostVector(gamma_s, gamma_c, gamma_l)
+    wsc, scl = WscSoa(vc, wsc_costs), SclSoa(vc, scl_costs)
     for _ in range(6):
-        vs = VersionSpace(vc, rng.getrandbits(len(vc)) or 1)
+        vs = wsc.vs = scl.vs = VersionSpace(vc, rng.getrandbits(len(vc)) or 1)
         for z in vc.universe:
-            assert WscSoa._predict(vs, wsc_costs, z) == ref_wsc_predict(
-                vs, wsc_costs, z)
+            assert wsc.predict(z) == ref_wsc_predict(vs, wsc_costs, z)
         for z in cot_instances(vc):
-            assert SclSoa._predict(vs, scl_costs, z) == ref_scl_predict(
-                vs, scl_costs, z)
+            assert scl.predict(z) == ref_scl_predict(vs, scl_costs, z)
