@@ -18,13 +18,18 @@ prover set builds once per class and prefix (``ProverSet.draw_tables``):
 a draw is a ``getrandbits`` rejection loop, exactly as
 ``Random.randrange`` makes it, and one bisection straight to the
 candidate's universe index, found once in the class's index
-(``VerifierClass.index``).  Verdicts, learners and the labeling oracle
+(``VerifierClass.index``).  The walk behind ``weak_to_strong`` and
+``test_hypothesis`` keeps those indices to the end: it records each
+accepted step and each rejected candidate as its universe index, so
+``test_hypothesis`` grades a proof along the walk's path and tells
+rejections apart as ints.  Verdicts, learners and the labeling oracle
 see the universe's own ``PrefixInstance``.  A prefix outside the
 universe is built afresh, and the tables after it are keyed by its
 steps until the walk reaches the universe again.  ``build_vhp`` wraps
-every frozen snapshot in a ``CachedVerdict`` that asks the snapshot once
-per universe index, so S2 testing and the boosted prover pay for each
-distinct prefix once.
+every frozen snapshot in a ``CachedVerdict``, a dict from universe index
+to verdict that asks the snapshot on a first lookup, so a candidate's
+verdict is one subscript and S2 testing and the boosted prover pay for
+each distinct prefix once.
 """
 
 from __future__ import annotations
@@ -320,6 +325,7 @@ def alpha_goodness(
     least alpha on correct next steps.
     """
     vclass = oracle.vclass
+    index, universe = vclass.index, vclass.universe
     good = set()
     for p in vclass.problems:
         ok = True
@@ -341,8 +347,8 @@ def alpha_goodness(
                 for tok, w in dist.items():
                     if w == 0:
                         continue
-                    z = PrefixInstance(p.id, steps + (tok,))
-                    if z in vclass and oracle.prefix_label(z):
+                    i = index.get((p.id, steps + (tok,)))
+                    if i is not None and oracle.prefix_label(universe[i]):
                         mass += w
                         correct_next.add(tok)
                 best = max(best, mass)
@@ -362,29 +368,51 @@ def gamma_of(good_problems: frozenset, D: dict) -> Fraction:
     )
 
 
-class CachedVerdict:
+class CachedVerdict(dict):
     """A frozen snapshot's verdicts, cached per universe index.
 
     Exact because ``snapshot()`` promises a frozen predictor: its verdict
-    on a prefix never changes, so ``at(i)`` asks the snapshot once per
-    distinct universe index and then reads the list.  Called on a
-    PrefixInstance it asks the snapshot directly; the walkers do that
-    only for prefixes outside the universe.  Never wrap a live learner.
+    on a prefix never changes.  Subscripted with a universe index, the
+    cache asks the snapshot about the universe's own prefix once, through
+    ``__missing__``, and then reads the dict; that subscript is all the
+    walkers pay per candidate.  Called on a PrefixInstance it asks the
+    snapshot directly; the walkers do that only for prefixes outside the
+    universe.  Never wrap a live learner.
+
+    A cache is a verdict, not a table: it is always true, and equal and
+    hashed by identity, however many verdicts it holds.
     """
 
     def __init__(self, snapshot: Verdict, vclass: VerifierClass):
+        super().__init__()
         self.snapshot = snapshot
         self.universe = vclass.universe
-        self.verdicts: list[Optional[bool]] = [None] * len(self.universe)
+
+    def __missing__(self, i: int) -> bool:
+        v = self[i] = self.snapshot(self.universe[i])
+        return v
 
     def __call__(self, z: PrefixInstance) -> bool:
         return self.snapshot(z)
 
-    def at(self, i: int) -> bool:
-        v = self.verdicts[i]
-        if v is None:
-            v = self.verdicts[i] = self.snapshot(self.universe[i])
-        return v
+    def __bool__(self):
+        return True
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    __hash__ = object.__hash__
+
+
+class _AskEachTime(CachedVerdict):
+    """Any verdict, asked again on every lookup: the walkers' view of a
+    verdict that may not be frozen."""
+
+    def __missing__(self, i: int) -> bool:
+        return self.snapshot(self.universe[i])
 
 
 def _prefixes(vclass: VerifierClass, trace: CotInstance):
@@ -404,18 +432,16 @@ def _walk(
     h: Verdict,
     vclass: VerifierClass,
     rng: random.Random,
-) -> tuple[ProofOutcome, list[PrefixInstance]]:
-    """weak_to_strong, also returning every rejected candidate in order,
-    repeats included."""
+) -> tuple[ProofOutcome, list, list]:
+    """weak_to_strong, also returning the accepted path and every rejected
+    candidate in order, repeats included.  Each prefix in the two lists is
+    its universe index, or a new PrefixInstance outside the universe."""
     budget = _budget(prover_set, params, vclass.L)
-    tables, universe = prover_set.draw_tables(vclass), vclass.universe
+    tables = prover_set.draw_tables(vclass)
+    verdicts = h if isinstance(h, CachedVerdict) else _AskEachTime(h, vclass)
     getrandbits = rng.getrandbits
-    if isinstance(h, CachedVerdict):
-        verdict_at = h.at
-    else:
-        def verdict_at(i):
-            return h(universe[i])
-    rejected = []
+    path, rejected = [], []
+    reject = rejected.append
     node, steps = None, ()
     for _ell in range(vclass.L):
         draws = tables[(x, steps) if node is None else node]
@@ -434,18 +460,18 @@ def _walk(
                     z = PrefixInstance(x, steps + (tok,))
                     accepted = h(z)
                 else:
-                    z = universe[i]
-                    accepted = verdict_at(i)
+                    z, accepted = i, verdicts[i]
                 if accepted:
-                    node, steps = i, z.steps
+                    path.append(z)
+                    node, steps = i, steps + (tok,)
                     advanced = True
                     break
-                rejected.append(z)
+                reject(z)
             if advanced:
                 break
         if not advanced:
-            return I_DONT_KNOW, rejected
-    return ProofOutcome(CotInstance(x, steps)), rejected
+            return I_DONT_KNOW, path, rejected
+    return ProofOutcome(CotInstance(x, steps)), path, rejected
 
 
 def weak_to_strong(
@@ -461,7 +487,8 @@ def weak_to_strong(
     At each step, sample one candidate from every prover, take the first
     accepted one, and retry up to the timeout budget; any step that
     exhausts its budget aborts the whole attempt.  h sees the universe's
-    own PrefixInstance for every candidate in the universe.
+    own PrefixInstance for every candidate in the universe; a
+    CachedVerdict asks its snapshot about each of them once.
     """
     return _walk(x, prover_set, params, h, vclass, rng)[0]
 
@@ -524,16 +551,21 @@ def test_hypothesis(
 
     A returned proof with any oracle-rejected prefix is a soundness
     mistake; an abstention after rejecting any truly correct prefix is a
-    completeness mistake.  The oracle is asked about each distinct
-    rejected prefix, by value, once, in order of first rejection, until
-    one is correct.
+    completeness mistake.  A proof is graded along the walk's own path.
+    On an abstention the oracle is asked about each distinct rejected
+    prefix once, in order of first rejection, until one is correct:
+    rejections are told apart by universe index, and by value outside
+    the universe.  The oracle always sees the universe's own
+    PrefixInstance for a prefix in the universe.
     """
-    outcome, rejected = _walk(x, prover_set, params, h, oracle.vclass, rng)
+    vclass = oracle.vclass
+    outcome, path, rejected = _walk(x, prover_set, params, h, vclass, rng)
+    universe, label = vclass.universe, oracle.prefix_label
     calls = 0
     if outcome.is_proof:
-        for z in _prefixes(oracle.vclass, outcome.trace):
+        for z in path:
             calls += 1
-            if not oracle.prefix_label(z):
+            if not label(universe[z] if isinstance(z, int) else z):
                 return TestResult.SOUNDNESS_MISTAKE, calls
     else:
         seen = set()  # filled as asked, so an early exit hashes no more
@@ -541,7 +573,7 @@ def test_hypothesis(
             if z not in seen:
                 seen.add(z)
                 calls += 1
-                if oracle.prefix_label(z):
+                if label(universe[z] if isinstance(z, int) else z):
                     return TestResult.COMPLETENESS_MISTAKE, calls
     return TestResult.CORRECT, calls
 

@@ -75,6 +75,18 @@ class PrefixFromCot(_Reduction):
     Requires the class to declare a fail token: padding any prefix with
     it yields a trace whose first fault, if the prefix itself is clean,
     sits exactly at the first padded position.
+
+    Precondition: every strict prefix of a queried prefix is correct
+    under the target, as in a proof attempt, which stops at its first
+    rejected step.  An update reads the prefix's label as the padded
+    trace's first fault (at the prefix's last step, or at the first
+    padded position, or none at full length), which holds only then.
+    A class may hold a verifier that accepts a prefix but rejects one of
+    its strict prefixes: with ``conjunction --L 2 --fail-token``, target
+    0 rejects ``(1,)`` but accepts ``(1, 0)``.  Fed both, the inner
+    learner is taught a label that removes the target from its version
+    space, and ``cotverify run --via-cot`` ends with ``error: no
+    verifier consistent with history``.
     """
 
     mode = "prefix"

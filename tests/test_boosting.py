@@ -137,6 +137,18 @@ def _one_step_class(tokens):
         PrefixInstance(0, (t,)): [False] for t in tokens})
 
 
+def _walk(x, prover_set, params, h, vclass, rng):
+    """boosting._walk with the path and the rejections as PrefixInstances:
+    the universe's own object for each universe index."""
+    outcome, path, rejected = boosting._walk(x, prover_set, params, h,
+                                             vclass, rng)
+
+    def prefix(z):
+        return vclass.universe[z] if isinstance(z, int) else z
+
+    return outcome, [prefix(z) for z in path], [prefix(z) for z in rejected]
+
+
 _THIRDS = {0: Fraction(1, 3**50), 1: Fraction(0), 5: 1 - Fraction(1, 3**50)}
 
 
@@ -166,7 +178,7 @@ def test_walkers_draw_what_randrange_draws(dists, seed):
         expected += [_sample_categorical(d, ref) for d in dists]
 
     rng = random.Random(seed)
-    outcome, rejected = boosting._walk(
+    outcome, _path, rejected = _walk(
         0, provers, params, lambda z: False, _one_step_class(range(4)), rng)
     assert not outcome.is_proof
     assert [z.steps[0] for z in rejected] == expected
@@ -248,6 +260,27 @@ def test_alpha_goodness_exact(setup):
     assert good == frozenset(range(scenario.N_GOOD))
     gamma = boosting.gamma_of(good, setup["D"])
     assert gamma == Fraction(3, 4)
+
+
+def test_alpha_goodness_outside_the_universe():
+    """alpha_goodness labels the universe's own prefixes and counts the
+    mass on a step outside the universe as incorrect."""
+    vc = class_from_table([StepToken(t) for t in range(8)], [Problem(0)], 1,
+                          {PrefixInstance(0, (t,)): [True] for t in range(4)})
+    prover = boosting.Prover({(0, ()): {0: Fraction(1, 2), 5: Fraction(1, 2)}})
+    oracle, asked = Oracle(vc, 0), []
+
+    class Recording:
+        vclass = vc
+
+        def prefix_label(self, z):
+            asked.append(z)
+            return oracle.prefix_label(z)
+
+    for alpha, good in ((Fraction(1, 2), {0}), (Fraction(3, 4), set())):
+        assert boosting.alpha_goodness(
+            boosting.ProverSet((prover,), alpha), Recording()) == good
+    assert asked == [vc.universe[0]] * 2 and asked[0] is vc.universe[0]
 
 
 def test_timeout_budget_and_cap(setup):
@@ -584,10 +617,11 @@ def test_no_snapshot_qualifies_when_all_are_eliminated(
 
 def _reference_walk(x, prover_set, params, h, vclass, rng):
     """weak_to_strong on PrefixInstance objects, a new prefix per
-    candidate; returns the outcome and every rejected candidate."""
+    candidate; returns the outcome, the accepted prefixes and every
+    rejected candidate."""
     budget = boosting.timeout_budget(
         prover_set.alpha, prover_set.k, vclass.L, params.epsilon_prime)
-    rejected = []
+    path, rejected = [], []
     steps = ()
     for _ell in range(vclass.L):
         advanced = False
@@ -595,6 +629,7 @@ def _reference_walk(x, prover_set, params, h, vclass, rng):
             for prover in prover_set.provers:
                 z = PrefixInstance(x, steps + (prover.sample(x, steps, rng),))
                 if h(z):
+                    path.append(z)
                     steps = z.steps
                     advanced = True
                     break
@@ -602,14 +637,14 @@ def _reference_walk(x, prover_set, params, h, vclass, rng):
             if advanced:
                 break
         if not advanced:
-            return boosting.I_DONT_KNOW, rejected
-    return boosting.ProofOutcome(CotInstance(x, steps)), rejected
+            return boosting.I_DONT_KNOW, path, rejected
+    return boosting.ProofOutcome(CotInstance(x, steps)), path, rejected
 
 
 def _reference_test(x, prover_set, params, h, oracle, rng):
     """test_hypothesis on the reference walk: an abstention asks about each
     distinct rejected prefix once, in order of first rejection."""
-    outcome, rejected = _reference_walk(
+    outcome, _path, rejected = _reference_walk(
         x, prover_set, params, h, oracle.vclass, rng)
     calls = 0
     if outcome.is_proof:
@@ -695,10 +730,10 @@ def test_indexed_walkers_equal_the_prefix_walkers(
     h = oracle.prefix_label if kind == "oracle" else learner().snapshot()
     indexed = boosting.CachedVerdict(h, vc) if kind == "cached-snapshot" else h
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    outcome, rejected = boosting._walk(x, prover_set, params, indexed, vc, rng)
-    assert (outcome, rejected) == _reference_walk(
+    outcome, path, rejected = _walk(x, prover_set, params, indexed, vc, rng)
+    assert (outcome, path, rejected) == _reference_walk(
         x, prover_set, params, h, vc, ref_rng)
-    assert all(z is vc.universe[vc.index_of(z)] for z in rejected)
+    assert all(z is vc.universe[vc.index_of(z)] for z in path + rejected)
     assert boosting.weak_to_strong(
         x, prover_set, params, indexed, vc, rng) == _reference_walk(
         x, prover_set, params, h, vc, ref_rng)[0]
@@ -749,10 +784,11 @@ def test_test_hypothesis_labels_each_prefix_once(
     counting = _CountingOracle(oracle)
     result, calls = boosting.test_hypothesis(
         x, prover_set, params, h, counting, random.Random(seed))
-    outcome, rejected = boosting._walk(
+    outcome, _path, rejected = _walk(
         x, prover_set, params, h, vc, random.Random(seed))
     assert calls == counting.calls
     assert max(counting.asked.values()) == 1
+    assert all(z is vc.universe[vc.index_of(z)] for z in counting.asked)
     if outcome.is_proof:
         assert calls <= vc.L
     else:
@@ -761,6 +797,64 @@ def test_test_hypothesis_labels_each_prefix_once(
                       if oracle.prefix_label(z)), len(distinct))
         assert list(counting.asked) == distinct[:asked]
     assert result is _repeat_asking_result(outcome, rejected, oracle)
+
+
+class _TokenOracle:
+    """Labels a one-step prefix by its token, inside the universe or out,
+    and records every prefix it is asked about."""
+
+    def __init__(self, vclass, correct):
+        self.vclass = vclass
+        self.correct = correct
+        self.asked = []
+
+    def prefix_label(self, z):
+        self.asked.append(z)
+        return z.steps[0] in self.correct
+
+
+@given(dists=st.lists(_exact_distributions(), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1),
+       accepted=st.sets(st.integers(0, 7), max_size=2),
+       correct=st.sets(st.integers(0, 7)))
+@example(dists=[{2: Fraction(1, 2), 6: Fraction(1, 2)},
+                {5: Fraction(1, 4), 7: Fraction(3, 4)}],
+         seed=0, accepted=set(), correct={5})
+@example(dists=[{1: Fraction(1, 2), 6: Fraction(1, 2)}], seed=3,
+         accepted={6}, correct={1})
+@settings(max_examples=60, deadline=None)
+def test_test_hypothesis_outside_the_universe(dists, seed, accepted, correct):
+    """On a universe holding only the tokens 0..3, test_hypothesis grades
+    as the reference does.  It asks about each distinct rejection once, by
+    value outside the universe, in order of first rejection whether the
+    rejections lie inside the universe or out, and hands the oracle the
+    universe's own prefixes."""
+    vc = _one_step_class(range(4))
+    provers = boosting.ProverSet(
+        tuple(boosting.Prover({(0, ()): d}) for d in dists), Fraction(1))
+    params = boosting.BoostParams(epsilon=Fraction(1, 5),
+                                  epsilon_prime=Fraction(1, 10**10),
+                                  delta=Fraction(1, 5))
+
+    def h(z):
+        return z.steps[0] in accepted
+
+    oracle, ref_oracle = _TokenOracle(vc, correct), _TokenOracle(vc, correct)
+    assert boosting.test_hypothesis(
+        0, provers, params, h, oracle, random.Random(seed)) == _reference_test(
+        0, provers, params, h, ref_oracle, random.Random(seed))
+    assert oracle.asked == ref_oracle.asked
+    assert all(z is vc.universe[vc.index_of(z)]
+               for z in oracle.asked if z in vc)
+    outcome, path, rejected = _walk(0, provers, params, h, vc,
+                                    random.Random(seed))
+    if outcome.is_proof:
+        assert oracle.asked == path
+    else:
+        distinct = list(dict.fromkeys(rejected))
+        asked = next((i + 1 for i, z in enumerate(distinct)
+                      if z.steps[0] in correct), len(distinct))
+        assert oracle.asked == distinct[:asked]
 
 
 class _CountingVerdict:
@@ -789,13 +883,11 @@ def test_cached_verdicts_ask_each_prefix_once(setup, monkeypatch):
     original = boosting._walk
 
     def counting_walk(*args):
-        # Every rejection and every step of a proof was a candidate: a
-        # lower bound on the candidates drawn, which abstentions exceed.
-        outcome, rejected = original(*args)
-        candidates[0] += len(rejected)
-        if outcome.is_proof:
-            candidates[0] += len(outcome.trace.steps)
-        return outcome, rejected
+        # Every rejection and every accepted step was a candidate: a lower
+        # bound on the candidates drawn, which abstentions exceed.
+        outcome, path, rejected = original(*args)
+        candidates[0] += len(path) + len(rejected)
+        return outcome, path, rejected
 
     monkeypatch.setattr(boosting, "_walk", counting_walk)
     vhp = boosting.build_vhp(
@@ -810,6 +902,23 @@ def test_cached_verdicts_ask_each_prefix_once(setup, monkeypatch):
         assert max(c.calls.values()) == 1
         assert all(z in vc for z in c.calls)
     assert asked <= 3 * len(vc.universe) < candidates[0]
+
+
+def test_cached_verdicts_are_verdicts_not_tables(setup):
+    """A CachedVerdict is a dict from universe index to verdict, but it is
+    true while empty and equal and hashed by identity, however many
+    verdicts it holds."""
+    vc, oracle = setup["vclass"], setup["oracle"]
+    counted = _CountingVerdict(oracle.prefix_label)
+    a, b = (boosting.CachedVerdict(counted, vc) for _ in range(2))
+    assert a and not len(a)
+    assert a != b and not a == b and len({a, b}) == 2
+    for i in (0, 5, 0):
+        assert a[i] is b[i] is oracle.prefix_label(vc.universe[i])
+    assert dict(a) == dict(b) == {0: a[0], 5: a[5]}
+    assert a != b and a == a and not a != a
+    assert a != dict(a) and dict(a) != a
+    assert counted.calls == {vc.universe[0]: 2, vc.universe[5]: 2}
 
 
 def test_off_universe_prefixes(setup):

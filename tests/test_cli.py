@@ -367,6 +367,29 @@ def test_run_wrapper_flag_must_match_learner_mode(fail_token_files, tmp_path,
             json.loads(open(seq_path).read()))
 
 
+def test_run_via_cot_needs_correct_strict_prefixes(tmp_path, capsys):
+    """The fail-token reduction assumes every strict prefix of a queried
+    prefix is correct under the target.  On conjunction L=2 with a fail
+    token, target 0 rejects (1,) but accepts (1, 0); the first eight
+    universe prefixes, which hold both, end the run with one error line
+    and exit 2, not a traceback."""
+    path = str(tmp_path / "conjunction.json")
+    assert run_cli("families", "--family", "conjunction", "--L", "2",
+                   "--fail-token", "--out", path) == 0
+    capsys.readouterr()
+    vc = families.load_class(path)
+    assert not reference.accepts(vc, 0, PrefixInstance(0, (1,)))
+    assert reference.accepts(vc, 0, PrefixInstance(0, (1, 0)))
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(
+        [[z.problem, list(z.steps)] for z in vc.universe[:8]]))
+    assert run_cli("run", "--class", path, "--learner", "sound-conservative",
+                   "--target", "0", "--sequence", str(seq),
+                   "--via-cot") == cli.EXIT_INVALID
+    assert _one_error_line(capsys) == (
+        "error: no verifier consistent with history\n")
+
+
 def test_run_rejects_both_wrapper_flags(fail_token_files, capsys):
     class_path, _, seq_path = fail_token_files["singleton"]
     assert run_cli("run", "--class", class_path, "--learner", "sc-soa",
