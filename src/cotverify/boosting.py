@@ -7,29 +7,34 @@ timeout.  Training draws one problem batch to generate conservative
 hypothesis snapshots and a second batch to test and select among them.
 
 Provers are table-driven categorical samplers with exact rational
-weights, compiled to integer thresholds so that a draw is one uniform
-integer below the common denominator and one bisection; alpha-goodness
-is verified by exhaustive table scan rather than assumed.  All
+weights, compiled to integer thresholds over their common denominator;
+alpha-goodness is verified by exhaustive table scan rather than assumed.
+A draw takes a uniform integer below the denominator from a
+``getrandbits`` rejection loop, exactly as ``Random.randrange`` makes
+it, so it consumes the same words.  A distribution whose words are at
+most 6 bits wide (denominator at most 63) maps each word to its outcome,
+or to None for a rejected word, in a list of 2**bits entries, so a draw
+is one list index per word; a wider one bisects the thresholds.  All
 randomness flows through explicitly passed generators.
 
 The walkers advance a prefix's universe index rather than building a
-prefix per candidate.  At each prefix they draw from tables that the
-prover set builds once per class and prefix (``ProverSet.draw_tables``):
-a draw is a ``getrandbits`` rejection loop, exactly as
-``Random.randrange`` makes it, and one bisection straight to the
-candidate's universe index, found once in the class's index
-(``VerifierClass.index``).  The walk behind ``weak_to_strong`` and
-``test_hypothesis`` keeps those indices to the end: it records each
-accepted step and each rejected candidate as its universe index, so
-``test_hypothesis`` grades a proof along the walk's path and tells
-rejections apart as ints.  Verdicts, learners and the labeling oracle
-see the universe's own ``PrefixInstance``.  A prefix outside the
-universe is built afresh, and the tables after it are keyed by its
-steps until the walk reaches the universe again.  ``build_vhp`` wraps
-every frozen snapshot in a ``CachedVerdict``, a dict from universe index
-to verdict that asks the snapshot on a first lookup, so a candidate's
-verdict is one subscript and S2 testing and the boosted prover pay for
-each distinct prefix once.
+prefix per candidate.  Each walk asks the prover set for its plan
+(``ProverSet.plan``): the timeout budget and the draw tables that the
+prover set builds once per class and prefix (``ProverSet.draw_tables``),
+kept for the last params and class it was asked about.  A draw from the
+tables goes straight to the candidate's universe index, found once in
+the class's index (``VerifierClass.index``).  The walk behind
+``weak_to_strong`` and ``test_hypothesis`` keeps those indices to the
+end: it records each accepted step and each rejected candidate as its
+universe index, so ``test_hypothesis`` grades a proof along the walk's
+path and tells rejections apart as ints.  Verdicts, learners and the
+labeling oracle see the universe's own ``PrefixInstance``.  A prefix
+outside the universe is built afresh, and the tables after it are keyed
+by its steps until the walk reaches the universe again.  ``build_vhp``
+wraps every frozen snapshot in a ``CachedVerdict``, a dict from universe
+index to verdict that asks the snapshot on a first lookup, so a
+candidate's verdict is one subscript and S2 testing and the boosted
+prover pay for each distinct prefix once.
 """
 
 from __future__ import annotations
@@ -57,15 +62,26 @@ from .learners import ConservativeWrapper
 Verdict = Callable[[PrefixInstance], bool]
 
 
-def _compile(weights: dict, where) -> tuple[int, int, list, list]:
-    """Compile {outcome: rational} weights for exact drawing.
+# A distribution whose words are at most this many bits wide draws with one
+# table lookup; the table has 2**bits entries, so wider ones bisect.
+_TABLE_BITS = 6
 
-    Returns (denom, bits, cumulative integer thresholds, sorted outcomes):
-    outcome i is drawn for r in [thresholds[i-1], thresholds[i]) with r
-    uniform on range(denom), and bits = denom.bit_length() is the width
-    of the words that r is drawn from.  Raises ValueError, naming where,
-    unless every weight is nonnegative and they sum to 1.
+
+def _compile(weights: dict, where) -> tuple:
+    """Compile {outcome: rational} weights for exact drawing, as
+    _drawable does from their _cumulative form."""
+    return _drawable(*_cumulative(weights, where))
+
+
+def _cumulative(weights: dict, where) -> tuple[int, list, list]:
+    """(common denominator, cumulative integer thresholds, sorted
+    outcomes) of {outcome: rational} weights.
+
+    Raises ValueError, naming where, unless every weight is nonnegative,
+    they sum to 1 and no outcome is None.
     """
+    if None in weights:
+        raise ValueError(f"outcome None at {where}")
     denom = math.lcm(*[w.denominator for w in weights.values()])
     outcomes = []
     thresholds = []
@@ -79,18 +95,42 @@ def _compile(weights: dict, where) -> tuple[int, int, list, list]:
         thresholds.append(acc)
     if acc != denom:
         raise ValueError(f"weights at {where} do not sum to 1")
-    return denom, denom.bit_length(), thresholds, outcomes
+    return denom, thresholds, outcomes
 
 
-def _draw(compiled: tuple[int, int, list, list], rng: random.Random):
+def _drawable(denom: int, thresholds: list, outcomes: list) -> tuple:
+    """(denom, bits, thresholds, outcomes, table) for a distribution that
+    draws outcome i for r in [thresholds[i-1], thresholds[i]), with r
+    uniform on range(denom).
+
+    bits = denom.bit_length() is the width of the words that r is drawn
+    from.  If bits <= _TABLE_BITS, table holds the outcome of each of the
+    2**bits words, None for a word >= denom, which is rejected; otherwise
+    table is None and a draw bisects thresholds.
+    """
+    bits = denom.bit_length()
+    table = None
+    if bits <= _TABLE_BITS:
+        table = [outcomes[bisect_right(thresholds, r)] for r in range(denom)]
+        table += [None] * ((1 << bits) - denom)
+    return denom, bits, thresholds, outcomes, table
+
+
+def _draw(compiled: tuple, rng: random.Random):
     """One exact draw from a compiled distribution.
 
     r is drawn as Random.randrange(denom) draws it, by rejection from
     bits-wide getrandbits words, so the draw and the generator's state
-    afterwards are those of randrange.
+    afterwards are those of randrange.  With a table, each word is looked
+    up in it, and None rejects the word.
     """
-    denom, bits, thresholds, outcomes = compiled
+    denom, bits, thresholds, outcomes, table = compiled
     getrandbits = rng.getrandbits
+    if table is not None:
+        o = table[getrandbits(bits)]
+        while o is None:
+            o = table[getrandbits(bits)]
+        return o
     r = getrandbits(bits)
     while r >= denom:
         r = getrandbits(bits)
@@ -102,23 +142,27 @@ class Prover:
     """Stochastic next-step generator over exact categorical tables.
 
     table maps (problem id, steps-so-far) to {token id: weight}; weights
-    are rationals summing to 1.  Compiling the table validates it.
+    are rationals summing to 1.  Putting every distribution in its
+    _cumulative form validates the table.  The walkers make their
+    drawable forms once per class (_DrawTables); sample makes one per
+    call.
     """
 
     table: dict
     name: str = ""
-    _compiled: dict = field(init=False, repr=False, compare=False)
+    _cumulative: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_compiled", {
-            key: _compile(dist, key) for key, dist in self.table.items()
+        object.__setattr__(self, "_cumulative", {
+            key: _cumulative(dist, key) for key, dist in self.table.items()
         })
 
     def distribution(self, problem: int, steps: tuple) -> dict:
         return self.table[(problem, tuple(steps))]
 
     def sample(self, problem: int, steps: tuple, rng: random.Random) -> int:
-        return _draw(self._compiled[(problem, tuple(steps))], rng)
+        return _draw(_drawable(*self._cumulative[(problem, tuple(steps))]),
+                     rng)
 
 
 @dataclass(frozen=True)
@@ -128,6 +172,10 @@ class ProverSet:
     _tables: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
         compare=False)
+    # The last plan returned: (weak reference to the class, params,
+    # budget, weak reference to the draw tables), or None.
+    _plan: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         if len(self.provers) < 1:
@@ -140,8 +188,8 @@ class ProverSet:
         return len(self.provers)
 
     def __reduce__(self):
-        # Pickle and copy without the draw tables, which hold weak
-        # references; a copy builds its own on first use.
+        # Pickle and copy without the draw tables and the kept plan,
+        # which hold weak references; a copy builds its own on first use.
         return ProverSet, (self.provers, self.alpha)
 
     def draw_tables(self, vclass: VerifierClass) -> "_DrawTables":
@@ -151,6 +199,25 @@ class ProverSet:
         if tables is None:
             tables = self._tables[vclass] = _DrawTables(self.provers, vclass)
         return tables
+
+    def plan(self, params: "BoostParams",
+             vclass: VerifierClass) -> tuple[int, "_DrawTables"]:
+        """(timeout budget, draw tables) of a walk on vclass under params.
+
+        Every walk asks, so the last plan is kept and returned again while
+        params and vclass are the same objects as before.  The plan holds
+        the class and its tables weakly, so it keeps neither alive.
+        """
+        memo = self._plan
+        if memo is not None and memo[1] is params and memo[0]() is vclass:
+            # The tables live while their class does.
+            return memo[2], memo[3]()
+        budget = timeout_budget(self.alpha, self.k, vclass.L,
+                                params.epsilon_prime)
+        tables = self.draw_tables(vclass)
+        object.__setattr__(self, "_plan", (
+            weakref.ref(vclass), params, budget, weakref.ref(tables)))
+        return budget, tables
 
 
 class MissingDistribution(KeyError):
@@ -175,11 +242,13 @@ class _DrawTables(dict):
 
     Keyed by the prefix's universe index, or by (problem, steps) for a
     prefix outside the universe, the empty one included.  The value
-    holds, per prover, its distribution for the next step compiled as by
-    _compile over (universe index of the extended prefix, None outside
-    the universe; token) pairs, or None if the prover has no
-    distribution there.  Holds the class's universe and index but no
-    reference to the class, which keys it in ProverSet._tables.
+    holds, per prover, its distribution for the next step in the form
+    _drawable gives, or None if the prover has no distribution there.  Each
+    outcome, in the table of a distribution at most _TABLE_BITS wide and
+    in the list that a wider one bisects, is a (universe index of the
+    extended prefix, None outside the universe; token) pair.  Holds the
+    class's universe and index but no reference to the class, which keys
+    it in ProverSet._tables.
     """
 
     def __init__(self, provers: tuple, vclass: VerifierClass):
@@ -196,13 +265,14 @@ class _DrawTables(dict):
         index = self.index
         draws = []
         for prover in self.provers:
-            compiled = prover._compiled.get((x, steps))
-            if compiled is not None:
-                denom, bits, thresholds, tokens = compiled
-                compiled = (denom, bits, thresholds,
-                            [(index.get((x, steps + (tok,))), tok)
-                             for tok in tokens])
-            draws.append(compiled)
+            cumulative = prover._cumulative.get((x, steps))
+            if cumulative is None:
+                draws.append(None)
+                continue
+            denom, thresholds, tokens = cumulative
+            draws.append(_drawable(denom, thresholds,
+                                   [(index.get((x, steps + (tok,))), tok)
+                                    for tok in tokens]))
         draws = self[key] = tuple(draws)
         return draws
 
@@ -294,25 +364,11 @@ def timeout_budget(alpha, k: int, L: int, epsilon_prime) -> int:
                            Fraction(k * L) / Fraction(epsilon_prime)))
 
 
-# Every walk looks its budget up: keyed by ints, the cache avoids hashing
-# alpha and epsilon' as Fractions, which cost more than the rest of a
-# lookup.
-@functools.lru_cache(maxsize=128)
-def _budget_of(alpha_num, alpha_den, k, L, eps_num, eps_den) -> int:
-    return timeout_budget(Fraction(alpha_num, alpha_den), k, L,
-                          Fraction(eps_num, eps_den))
-
-
-def _budget(prover_set: ProverSet, params: BoostParams, L: int) -> int:
-    alpha, eps = prover_set.alpha, params.epsilon_prime
-    return _budget_of(alpha.numerator, alpha.denominator, prover_set.k, L,
-                      eps.numerator, eps.denominator)
-
-
 def oracle_call_cap(params: BoostParams, prover_set: ProverSet, L: int) -> int:
     """Worst-case labeling-oracle calls while handling one example: one
     per candidate drawn, at most L steps of budget rounds of k draws."""
-    return L * prover_set.k * _budget(prover_set, params, L)
+    return L * prover_set.k * timeout_budget(
+        prover_set.alpha, prover_set.k, L, params.epsilon_prime)
 
 
 def alpha_goodness(
@@ -436,8 +492,7 @@ def _walk(
     """weak_to_strong, also returning the accepted path and every rejected
     candidate in order, repeats included.  Each prefix in the two lists is
     its universe index, or a new PrefixInstance outside the universe."""
-    budget = _budget(prover_set, params, vclass.L)
-    tables = prover_set.draw_tables(vclass)
+    budget, tables = prover_set.plan(params, vclass)
     verdicts = h if isinstance(h, CachedVerdict) else _AskEachTime(h, vclass)
     getrandbits = rng.getrandbits
     path, rejected = [], []
@@ -451,11 +506,17 @@ def _walk(
                 if d is None:
                     raise _missing(prover_set, draws, x, steps)
                 # _draw, inlined.
-                denom, bits, thresholds, outcomes = d
-                r = getrandbits(bits)
-                while r >= denom:
+                denom, bits, thresholds, outcomes, table = d
+                if table is not None:
+                    o = table[getrandbits(bits)]
+                    while o is None:
+                        o = table[getrandbits(bits)]
+                    i, tok = o
+                else:
                     r = getrandbits(bits)
-                i, tok = outcomes[bisect_right(thresholds, r)]
+                    while r >= denom:
+                        r = getrandbits(bits)
+                    i, tok = outcomes[bisect_right(thresholds, r)]
                 if i is None:
                     z = PrefixInstance(x, steps + (tok,))
                     accepted = h(z)
@@ -510,8 +571,8 @@ def process_example(
     of labeling-oracle calls made.
     """
     vclass = oracle.vclass
-    budget = _budget(prover_set, params, vclass.L)
-    tables, universe = prover_set.draw_tables(vclass), vclass.universe
+    budget, tables = prover_set.plan(params, vclass)
+    universe = vclass.universe
     calls = 0
     node, steps = None, ()
     for _ell in range(vclass.L):

@@ -66,6 +66,8 @@ def test_prover_tables_validated():
     ):
         with pytest.raises(ValueError, match="negative weight"):
             boosting.Prover({(0, ()): dist})
+    with pytest.raises(ValueError, match="outcome None"):
+        boosting.Prover({(0, ()): {None: Fraction(1)}})
 
 
 def _sample_categorical(weights: dict, rng: random.Random):
@@ -115,9 +117,10 @@ def test_compiled_sampler_draws_equal_reference(table, seed):
 @st.composite
 def _exact_distributions(draw):
     """{token: weight} over some of the tokens 0..7, the weights k/denom
-    for a denominator of 1, a power of two, 3**50 or a random one, with
+    for a denominator of 1, a power of two, one at either side of the
+    widest drawn by table (63 = 2**6 - 1), 3**50 or a random one, with
     zero weights."""
-    denom = draw(st.sampled_from([1, 2, 8, 2**64, 3**50])
+    denom = draw(st.sampled_from([1, 2, 8, 63, 64, 65, 2**64, 3**50])
                  | st.integers(1, 10**6))
     tokens = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8,
                            unique=True))
@@ -158,6 +161,8 @@ _THIRDS = {0: Fraction(1, 3**50), 1: Fraction(0), 5: 1 - Fraction(1, 3**50)}
 @example(dists=[{0: Fraction(1, 2), 6: Fraction(0), 7: Fraction(1, 2)},
                 {2: Fraction(3, 2**64), 4: 1 - Fraction(3, 2**64)}], seed=1)
 @example(dists=[_THIRDS, {5: Fraction(1)}], seed=2)
+@example(dists=[{1: Fraction(5, 63), 2: Fraction(58, 63)},
+                {3: Fraction(1, 65), 6: Fraction(64, 65)}], seed=3)
 @settings(max_examples=60, deadline=None)
 def test_walkers_draw_what_randrange_draws(dists, seed):
     """The walkers' inlined draws give the randrange reference's
@@ -199,6 +204,36 @@ def test_walkers_draw_what_randrange_draws(dists, seed):
     assert [z.steps[0] for z in seen] == expected
     assert all(z is full.universe[z.steps[0]] for z in seen)
     assert rng.getstate() == ref.getstate()
+
+
+def test_walk_plans_follow_their_params_and_class():
+    """One prover set walked alternately under two params with different
+    budgets and on two classes walks as a fresh prover set does, and its
+    kept plan does not keep a class alive."""
+    provers = boosting.ProverSet((
+        boosting.Prover({(0, ()): {t: Fraction(1, 8) for t in range(8)}}),
+        boosting.Prover({(0, ()): {1: Fraction(1, 3), 6: Fraction(2, 3)}}),
+    ), Fraction(1))
+    short, long = (boosting.BoostParams(epsilon=Fraction(1, 5),
+                                        epsilon_prime=eps,
+                                        delta=Fraction(1, 5))
+                   for eps in (Fraction(1, 2), Fraction(1, 10**10)))
+    classes = [_one_step_class(range(4)), _one_step_class(range(2, 8))]
+    budgets = {boosting.timeout_budget(provers.alpha, provers.k, 1,
+                                       p.epsilon_prime) for p in (short, long)}
+    assert len(budgets) == 2
+    for seed, (params, vc) in enumerate(
+            [(short, classes[0]), (long, classes[0]), (long, classes[1]),
+             (short, classes[1]), (short, classes[0]), (long, classes[1])]):
+        fresh = boosting.ProverSet(provers.provers, provers.alpha)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert _walk(0, provers, params, lambda z: False, vc, rng) == _walk(
+            0, fresh, params, lambda z: False, vc, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+    assert provers._plan[0]() is classes[1]
+    del vc, classes
+    gc.collect()
+    assert provers._plan[0]() is None
 
 
 def test_draw_tables_are_cached_per_class_and_not_pickled(setup):
