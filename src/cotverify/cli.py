@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import re
@@ -43,8 +44,8 @@ EXIT_VIOLATION = 3
 
 
 def frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """An int or a Fraction as "p/q"; both carry the two parts."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 # Rationals as text: an integer, "p/q" or a decimal such as "0.25", with
@@ -105,43 +106,46 @@ def transcript_json(t: Transcript) -> dict:
 def tree_json(node) -> Optional[dict]:
     if node is None:
         return None
-    return {
-        "instance": instance_json(node.instance),
-        "edges": [
-            {
-                "label": label_json(e.label),
-                "kind": e.kind,
-                "weight": frac_str(e.weight),
-                "child": tree_json(e.child),
-            }
-            for e in node.edges
-        ],
-    }
+    # Each subtree's JSON by the id of its root, built before its parent's;
+    # a bare leaf (None) is null.
+    done = {id(None): None}
+    for n in reversed([*dimensions.depth_first(
+            node, lambda m: [e.child for e in m.edges if e.child is not None])]):
+        done[id(n)] = {
+            "instance": instance_json(n.instance),
+            "edges": [{"label": label_json(e.label), "kind": e.kind,
+                       "weight": frac_str(e.weight), "child": done[id(e.child)]}
+                      for e in n.edges],
+        }
+    return done[id(node)]
 
 
 def tree_dot(tree) -> str:
     lines = ["digraph mistake_tree {"]
-    counter = [0]
+    index = itertools.count()
 
-    def walk(node) -> int:
-        idx = counter[0]
-        counter[0] += 1
+    # An item is a node to draw, with its parent's index and the edge into
+    # it, or the line of that edge, which follows the child's subtree.
+    def draw(item):
+        if isinstance(item, str):
+            lines.append(item)
+            return ()
+        parent, edge, node = item
+        idx = next(index)
         if node is None:
             lines.append(f'  n{idx} [shape=point, label=""];')
-            return idx
-        name = f"{node.instance.problem}:{''.join(map(str, node.instance.steps))}"
-        lines.append(f'  n{idx} [label="{name}"];')
-        for e in node.edges:
-            child = walk(e.child)
-            style = "dashed" if e.kind == "c" else "solid"
-            lines.append(
-                f'  n{idx} -> n{child} '
-                f'[label="{label_json(e.label)} ({frac_str(e.weight)})", '
-                f'style={style}];'
-            )
-        return idx
+        else:
+            steps = "".join(map(str, node.instance.steps))
+            lines.append(f'  n{idx} [label="{node.instance.problem}:{steps}"];')
+        below = [] if node is None else [(idx, e, e.child) for e in node.edges]
+        if edge is not None:
+            style = "dashed" if edge.kind == "c" else "solid"
+            below.append(f'  n{parent} -> n{idx} [label="{label_json(edge.label)} '
+                         f'({frac_str(edge.weight)})", style={style}];')
+        return below
 
-    walk(tree.root)
+    for _ in dimensions.depth_first((None, None, tree.root), draw):
+        pass
     lines.append("}")
     return "\n".join(lines)
 

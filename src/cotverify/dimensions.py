@@ -73,6 +73,23 @@ class DimResult:
     stats: dict
 
 
+def depth_first(root, children):
+    """Yield root and everything below it, depth-first in edge order, from
+    an explicit stack, so no walk is bound by the recursion limit.
+
+    children(node) gives a list or tuple of node's children in edge order.
+    It is asked after node is yielded, so a walk that stops early asks no
+    further.  Listed and reversed, the walk puts every node after its
+    descendants.
+    """
+    stack = [root]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        yield node
+        push(children(node)[::-1])
+
+
 # Per-class cache of engines (and SCL label partitions) so repeated
 # queries, and online learners that consult dimension values every round,
 # share one memo table.
@@ -146,12 +163,12 @@ def _scl_engine(vclass: VerifierClass, ws: int, wc: int, wl: int):
                    lambda: kernels.scl_engine(_scl_label_masks(vclass), ws, wc, wl))
 
 
-def _query(engine, solve) -> tuple:
-    """solve()'s value and the engine work it alone did."""
+def _query(engine, value, *args) -> tuple:
+    """value(*args) and the engine work it alone did."""
     nodes0, hits0 = engine.stats()
-    value = solve()
+    v = value(*args)
     nodes, hits = engine.stats()
-    return value, {
+    return v, {
         "nodes_expanded": nodes - nodes0,
         "memo_hits": hits - hits0,
         "backend": kernels.BACKEND,
@@ -187,29 +204,27 @@ def scl_value(vs: VersionSpace, costs: CostVector) -> Fraction:
 # queries on the same class, and not the witness extraction.
 
 def ldim(vs: VersionSpace, witness: bool = True) -> DimResult:
-    value, stats = _query(_ldim_engine(vs.vclass), lambda: ldim_value(vs))
+    value, stats = _query(_ldim_engine(vs.vclass), ldim_value, vs)
     tree = _extract_plain(vs) if witness and value > 0 else None
     return DimResult(value, tree, stats)
 
 
 def sc_ldim(vs: VersionSpace, k: int, witness: bool = True) -> DimResult:
-    value, stats = _query(_sc_engine(vs.vclass), lambda: sc_value(vs, k))
+    value, stats = _query(_sc_engine(vs.vclass), sc_value, vs, k)
     tree = _extract_sc(vs, k) if witness and value > 0 else None
     return DimResult(value, tree, stats)
 
 
 def wsc_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimResult:
     ws, wc, _ = integer_costs(costs.gamma_s, costs.gamma_c)
-    value, stats = _query(_wsc_engine(vs.vclass, ws, wc),
-                          lambda: wsc_value(vs, costs))
+    value, stats = _query(_wsc_engine(vs.vclass, ws, wc), wsc_value, vs, costs)
     tree = _extract_wsc(vs, costs) if witness and value > 0 else None
     return DimResult(value, tree, stats)
 
 
 def scl_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimResult:
     ws, wc, wl, _ = integer_costs(costs.gamma_s, costs.gamma_c, costs.gamma_l)
-    value, stats = _query(_scl_engine(vs.vclass, ws, wc, wl),
-                          lambda: scl_value(vs, costs))
+    value, stats = _query(_scl_engine(vs.vclass, ws, wc, wl), scl_value, vs, costs)
     tree = _extract_scl(vs, costs) if witness and value > 0 else None
     return DimResult(value, tree, stats)
 
@@ -227,19 +242,21 @@ def _extract(kind: str, eng, state, solve, expand, budget=None) -> MistakeTree:
         solve()  # a cold root, which no query has solved yet
     if moves.get(state) is None:
         raise NoWitness("dimension is 0")
+    # Expand top-down, then freeze bottom-up.  A child's version space is a
+    # strict part of its parent's and disjoint from its sibling's, so no
+    # state repeats in a witness and one dict can hold each state's
+    # expansion and then its node.
+    nodes = {}
 
-    def build(state) -> Optional[TreeNode]:
-        move = moves.get(state)
-        if move is None:
-            return None
-        z, edges = expand(state, move)
-        children = []
-        for label, k, w, child in edges:
-            children.append(TreeEdge(label, k, w,
-                                     None if child is None else build(child)))
-        return TreeNode(z, tuple(children))
+    def children(state):
+        z, edges = nodes[state] = expand(state, moves[state])
+        return [e[3] for e in edges if moves.get(e[3]) is not None]
 
-    return MistakeTree(kind, build(state), budget)
+    for s in [*depth_first(state, children)][::-1]:
+        z, edges = nodes[s]
+        nodes[s] = TreeNode(z, tuple([TreeEdge(label, k, w, nodes.get(child))
+                                      for label, k, w, child in edges]))
+    return MistakeTree(kind, nodes[state], budget)
 
 
 def _extract_weighted(kind: str, vs: VersionSpace, eng, gamma_s: Fraction,
@@ -347,9 +364,11 @@ def extract_witness(
 def _check_node(node: TreeNode, kind: str) -> None:
     if len(node.edges) != 2:
         raise MalformedTree(f"node must have exactly 2 edges, got {len(node.edges)}")
+    unit = kind in ("plain", "SC")
     for e in node.edges:
-        if e.weight < 0:
-            raise MalformedTree("negative edge weight")
+        if e.weight != 1 if unit else e.weight < 0:
+            raise MalformedTree(f"{kind} edges must weigh 1" if unit
+                                else "negative edge weight")
     if kind == "SCL":
         if not isinstance(node.instance, CotInstance):
             raise MalformedTree("SCL node must carry a full trace")
@@ -385,21 +404,22 @@ def verify_shattered(tree: MistakeTree, vs: VersionSpace) -> bool:
         raise MalformedTree(f"unknown tree kind: {tree.kind}")
     if tree.root is None:
         return True
+    restrict = (VersionSpace.restrict_cot if tree.kind == "SCL"
+                else VersionSpace.restrict)
 
-    def walk(node: Optional[TreeNode], space: VersionSpace) -> bool:
-        if node is None:
-            return space.alive != 0
+    # A bare leaf is listed only when no alive verifier reaches it, and the
+    # walk stops there, so a node is checked where its turn comes.
+    def children(item):
+        node, space = item
         _check_node(node, tree.kind)
-        for e in node.edges:
-            if tree.kind == "SCL":
-                sub = space.restrict_cot(node.instance, e.label)
-            else:
-                sub = space.restrict(node.instance, e.label)
-            if not walk(e.child, sub):
-                return False
-        return True
+        return [(e.child, sub) for e in node.edges
+                if not (sub := restrict(space, node.instance, e.label)).alive
+                or e.child is not None]
 
-    return walk(tree.root, vs)
+    for node, _ in depth_first((tree.root, vs), children):
+        if node is None:
+            return False
+    return True
 
 
 def certified_value(tree: MistakeTree) -> Union[int, Fraction]:
@@ -408,54 +428,43 @@ def certified_value(tree: MistakeTree) -> Union[int, Fraction]:
     For SC trees, paths using more straight edges than the budget are
     unconstrained and excluded from the minimum.
     """
-    if tree.root is None:
-        return 0 if tree.kind in ("plain", "SC") else Fraction(0)
-
-    if tree.kind == "SC":
-        budget = tree.budget if tree.budget is not None else 0
-
-        def depth(node: Optional[TreeNode], k: int) -> Optional[int]:
-            if node is None:
-                return 0
-            best = None
-            for e in node.edges:
-                if e.kind == "s":
-                    if k == 0:
-                        continue  # over budget, path unconstrained
-                    d = depth(e.child, k - 1)
-                else:
-                    d = depth(e.child, k)
-                if d is not None and (best is None or 1 + d < best):
-                    best = 1 + d
-            return best
-
-        v = depth(tree.root, budget)
-        return 0 if v is None else v
-
-    w = _min_paths(tree.root)[id(tree.root)]
-    return int(w) if tree.kind == "plain" else w
+    budget = (tree.budget or 0) if tree.kind == "SC" else math.inf
+    w = _min_paths(tree.root, budget).get((id(tree.root), budget))
+    return int(w or 0) if tree.kind in ("plain", "SC") else Fraction(w or 0)
 
 
-def _min_paths(root: Optional[TreeNode]) -> dict[int, Fraction]:
-    """Every subtree's minimum root-to-leaf path weight, keyed by the id of
-    its root node, from one iterative post-order pass."""
-    below: dict[int, Fraction] = {}
-    stack = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if node is None or id(node) in below:
-            continue
-        if children_done:
-            below[id(node)] = min(_remainder(e, below) for e in node.edges)
-        else:
-            stack.append((node, True))
-            stack.extend((e.child, False) for e in node.edges)
+def _min_paths(root: Optional[TreeNode], budget=math.inf) -> dict:
+    """Every subtree's minimum root-to-leaf path weight, keyed by (the id
+    of its root node, the straight edges left above it), from one pass
+    that takes each subtree after those below it.  A path with more
+    straight edges than the budget is unconstrained and left out; a
+    subtree none of whose paths is left maps to None."""
+    below: dict = {}
+
+    def children(item):
+        node, k = item
+        return [(e.child, k - (e.kind == "s")) for e in node.edges
+                if e.child is not None]
+
+    for node, k in reversed([*depth_first((root, budget), children)]
+                            if root is not None else []):
+        rests = [r for e in node.edges if (r := _remainder(e, below, k)) is not None]
+        below[id(node), k] = min(rests, default=None)
     return below
 
 
-def _remainder(edge: TreeEdge, below: dict[int, Fraction]) -> Fraction:
-    """The edge's weight plus the minimum path weight below its child."""
-    return edge.weight + (0 if edge.child is None else below[id(edge.child)])
+def _remainder(edge: TreeEdge, below: dict, k=math.inf) -> Optional[Fraction]:
+    """The edge's weight plus the minimum path weight below its child, with
+    k straight edges left above the edge; None when every path through the
+    edge is over budget."""
+    if edge.kind == "s":
+        if k == 0:
+            return None
+        k -= 1
+    if edge.child is None:
+        return edge.weight
+    rest = below[id(edge.child), k]
+    return None if rest is None else edge.weight + rest
 
 
 def min_leaf_recurrence(w: int, d: int) -> int:

@@ -21,15 +21,25 @@ class_from_table.  The library builders must give equal classes.
 
 accepts, equal_canonical, check_realizable and totals_consistent are
 views of a class or a transcript that only tests read.
+
+ref_verify_shattered, ref_certified_value, ref_tree_json and
+ref_tree_dot are the witness walks as they were before every walk listed
+its nodes from one explicit stack: each recurses one frame per tree level
+(two for ref_tree_json), and the SC value is a separate depth search that
+counts edges instead of summing their weights.  ref_verify_shattered
+checks each node with the library's _check_node, so only the walk
+differs.
 """
 
 import itertools
+from fractions import Fraction
 
 from cotverify.core import (
     ALL_CORRECT,
     VersionSpace,
     FailTokenInvalid,
     FailTokenRequired,
+    MalformedTree,
     NoWitness,
     PrefixInstance,
     Problem,
@@ -40,7 +50,14 @@ from cotverify.core import (
     cot_instances,
     is_fault,
 )
-from cotverify.dimensions import MistakeTree, TreeEdge, TreeNode
+from cotverify.cli import frac_str, instance_json, label_json
+from cotverify.dimensions import (
+    KINDS,
+    MistakeTree,
+    TreeEdge,
+    TreeNode,
+    _check_node,
+)
 from cotverify.families import RIVER_GOAL, RIVER_START, river_edges
 from cotverify.kernels import sc_bound, wsc_bound
 
@@ -452,3 +469,99 @@ def totals_consistent(transcript, costs):
         + costs.gamma_l * transcript.location_mistakes
     )
     return transcript.total_cost == expected
+
+
+def ref_verify_shattered(tree, vs):
+    if tree.kind not in KINDS:
+        raise MalformedTree(f"unknown tree kind: {tree.kind}")
+    if tree.root is None:
+        return True
+
+    def walk(node, space):
+        if node is None:
+            return space.alive != 0
+        _check_node(node, tree.kind)
+        for e in node.edges:
+            if tree.kind == "SCL":
+                sub = space.restrict_cot(node.instance, e.label)
+            else:
+                sub = space.restrict(node.instance, e.label)
+            if not walk(e.child, sub):
+                return False
+        return True
+
+    return walk(tree.root, vs)
+
+
+def ref_certified_value(tree):
+    if tree.root is None:
+        return 0 if tree.kind in ("plain", "SC") else Fraction(0)
+    if tree.kind == "SC":
+        def depth(node, k):
+            if node is None:
+                return 0
+            best = None
+            for e in node.edges:
+                if e.kind == "s":
+                    if k == 0:
+                        continue  # over budget, path unconstrained
+                    d = depth(e.child, k - 1)
+                else:
+                    d = depth(e.child, k)
+                if d is not None and (best is None or 1 + d < best):
+                    best = 1 + d
+            return best
+
+        v = depth(tree.root, tree.budget if tree.budget is not None else 0)
+        return 0 if v is None else v
+
+    def weight(node):
+        return min(e.weight + (0 if e.child is None else weight(e.child))
+                   for e in node.edges)
+
+    w = weight(tree.root)
+    return int(w) if tree.kind == "plain" else w
+
+
+def ref_tree_json(node):
+    if node is None:
+        return None
+    return {
+        "instance": instance_json(node.instance),
+        "edges": [
+            {
+                "label": label_json(e.label),
+                "kind": e.kind,
+                "weight": frac_str(e.weight),
+                "child": ref_tree_json(e.child),
+            }
+            for e in node.edges
+        ],
+    }
+
+
+def ref_tree_dot(tree):
+    lines = ["digraph mistake_tree {"]
+    counter = [0]
+
+    def walk(node):
+        idx = counter[0]
+        counter[0] += 1
+        if node is None:
+            lines.append(f'  n{idx} [shape=point, label=""];')
+            return idx
+        name = f"{node.instance.problem}:{''.join(map(str, node.instance.steps))}"
+        lines.append(f'  n{idx} [label="{name}"];')
+        for e in node.edges:
+            child = walk(e.child)
+            style = "dashed" if e.kind == "c" else "solid"
+            lines.append(
+                f'  n{idx} -> n{child} '
+                f'[label="{label_json(e.label)} ({frac_str(e.weight)})", '
+                f'style={style}];'
+            )
+        return idx
+
+    walk(tree.root)
+    lines.append("}")
+    return "\n".join(lines)

@@ -422,9 +422,24 @@ def test_run_rejects_entries_outside_the_class(fail_token_files, tmp_path,
     _one_error_line(capsys)
 
 
+def test_deep_witness_is_written_and_verified(tmp_path):
+    """complement(500) at k = 0 has a witness 499 levels deep, deeper than
+    a witness walk of two frames per tree level can go at the default
+    recursion limit.  The report nests too deep for json.loads, so its
+    fields are read from the text."""
+    path, out = str(tmp_path / "complement.json"), tmp_path / "report.json"
+    families.save_class(families.complement_class(500, 10), path)
+    assert run_cli("dim", "--class", path, "--kind", "sc", "--k", "0",
+                   "--witness", "--out", str(out)) == cli.EXIT_OK
+    text = out.read_text()
+    assert '\n  "value": "499/1",\n' in text
+    assert '\n  "witness_verified": true\n' in text
+
+
 def test_deep_search_fails_cleanly(tmp_path, capsys):
     # complement(n) at k=0 is a chain n - 1 levels deep; the recursive
-    # kernel cannot go deeper than the interpreter's recursion limit.
+    # kernel cannot go deeper than the interpreter's recursion limit, the
+    # only depth bound left, since every witness walk keeps its own stack.
     # The limit is lowered here so that a small class reaches it.
     path = str(tmp_path / "complement.json")
     families.save_class(families.complement_class(300, 9), path)
