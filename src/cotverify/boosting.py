@@ -10,9 +10,11 @@ Provers are table-driven categorical samplers with exact rational
 weights, compiled to integer thresholds over their common denominator;
 alpha-goodness is verified by exhaustive table scan rather than assumed.
 A draw takes a uniform integer below the denominator from a
-``getrandbits`` rejection loop, exactly as ``Random.randrange`` makes
-it, so it consumes the same words.  A distribution whose words are at
-most 6 bits wide (denominator at most 63) maps each word to its outcome,
+``getrandbits`` rejection loop over the narrowest words that hold every
+integer below it, ``(denom - 1).bit_length()`` bits wide: a
+power-of-two denominator never rejects a word, and a point mass
+(denominator 1) takes no word at all.  A distribution whose words are at
+most 6 bits wide (denominator at most 64) maps each word to its outcome,
 or to None for a rejected word, in a list of 2**bits entries, so a draw
 is one list index per word; a wider one bisects the thresholds.  All
 randomness flows through explicitly passed generators.
@@ -103,12 +105,13 @@ def _drawable(denom: int, thresholds: list, outcomes: list) -> tuple:
     draws outcome i for r in [thresholds[i-1], thresholds[i]), with r
     uniform on range(denom).
 
-    bits = denom.bit_length() is the width of the words that r is drawn
-    from.  If bits <= _TABLE_BITS, table holds the outcome of each of the
-    2**bits words, None for a word >= denom, which is rejected; otherwise
-    table is None and a draw bisects thresholds.
+    bits = (denom - 1).bit_length() is the width of the words that r is
+    drawn from, the narrowest that holds denom - 1, and 0 for a point mass,
+    which draws no word.  If bits <= _TABLE_BITS, table holds the outcome
+    of each of the 2**bits words, None for a word >= denom, which is
+    rejected; otherwise table is None and a draw bisects thresholds.
     """
-    bits = denom.bit_length()
+    bits = (denom - 1).bit_length()
     table = None
     if bits <= _TABLE_BITS:
         table = [outcomes[bisect_right(thresholds, r)] for r in range(denom)]
@@ -119,12 +122,14 @@ def _drawable(denom: int, thresholds: list, outcomes: list) -> tuple:
 def _draw(compiled: tuple, rng: random.Random):
     """One exact draw from a compiled distribution.
 
-    r is drawn as Random.randrange(denom) draws it, by rejection from
-    bits-wide getrandbits words, so the draw and the generator's state
-    afterwards are those of randrange.  With a table, each word is looked
-    up in it, and None rejects the word.
+    r is uniform on range(denom), drawn by rejection from bits-wide
+    getrandbits words; a point mass (bits == 0) returns its one-entry
+    table's outcome without touching the generator.  With a table, each
+    word is looked up in it, and None rejects the word.
     """
     denom, bits, thresholds, outcomes, table = compiled
+    if not bits:
+        return table[0]
     getrandbits = rng.getrandbits
     if table is not None:
         o = table[getrandbits(bits)]
@@ -244,11 +249,13 @@ class _DrawTables(dict):
     prefix outside the universe, the empty one included.  The value
     holds, per prover, its distribution for the next step in the form
     _drawable gives, or None if the prover has no distribution there.  Each
-    outcome, in the table of a distribution at most _TABLE_BITS wide and
-    in the list that a wider one bisects, is a (universe index of the
-    extended prefix, None outside the universe; token) pair.  Holds the
-    class's universe and index but no reference to the class, which keys
-    it in ProverSet._tables.
+    outcome, in the table of a distribution whose words are at most
+    _TABLE_BITS wide (denominator at most 64; a point mass reads its one
+    entry without a draw) and in the list that a wider one bisects, is a
+    (universe index of the extended prefix, None outside the universe;
+    token) pair.
+    Holds the class's universe and index but no reference to the class,
+    which keys it in ProverSet._tables.
     """
 
     def __init__(self, provers: tuple, vclass: VerifierClass):
@@ -507,7 +514,9 @@ def _walk(
                     raise _missing(prover_set, draws, x, steps)
                 # _draw, inlined.
                 denom, bits, thresholds, outcomes, table = d
-                if table is not None:
+                if not bits:
+                    i, tok = table[0]
+                elif table is not None:
                     o = table[getrandbits(bits)]
                     while o is None:
                         o = table[getrandbits(bits)]

@@ -225,12 +225,14 @@ def canonical_json(value) -> str:
 
 
 def emit(report: dict, out: Optional[str]) -> None:
-    text = canonical_json(report) + "\n"
+    # print writes the newline after the text, so the report is never
+    # copied to append it.
+    text = canonical_json(report)
     if out:
         with open(out, "w") as f:
-            f.write(text)
+            print(text, file=f)
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
 def _costs(args) -> CostVector:

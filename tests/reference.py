@@ -29,9 +29,17 @@ its nodes from one explicit stack: each recurses one frame per tree level
 counts edges instead of summing their weights.  ref_verify_shattered
 checks each node with the library's _check_node, so only the walk
 differs.
+
+ref_draw is a prover's exact draw as the compiled samplers must make it,
+with none of their machinery: the denominator and each cumulative bound
+are worked out per draw from the Fractions, and ref_randbelow takes a
+uniform integer below the denominator by rejection from the narrowest
+getrandbits words that hold every integer below it, with no word for a
+point mass.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from cotverify.core import (
@@ -565,3 +573,28 @@ def ref_tree_dot(tree):
     walk(tree.root)
     lines.append("}")
     return "\n".join(lines)
+
+
+def ref_randbelow(n, rng):
+    """A uniform integer in range(n): getrandbits words of
+    (n - 1).bit_length() bits, each >= n rejected; n = 1 takes no word."""
+    if n == 1:
+        return 0
+    bits = (n - 1).bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
+def ref_draw(weights, rng):
+    """One draw from {outcome: Fraction} weights: outcome i, in sorted
+    order, for r below the denominator in the i-th cumulative interval."""
+    denom = math.lcm(*(w.denominator for w in weights.values()))
+    r = ref_randbelow(denom, rng)
+    acc = 0
+    for outcome in sorted(weights):
+        acc += int(weights[outcome] * denom)
+        if r < acc:
+            return outcome
+    raise AssertionError("categorical weights do not sum to 1")

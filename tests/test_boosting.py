@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scenario
-from reference import class_from_table
+from reference import class_from_table, ref_draw
 from cotverify import boosting, cli, dimensions
 from cotverify.core import (
     CotInstance,
@@ -70,19 +70,6 @@ def test_prover_tables_validated():
         boosting.Prover({(0, ()): {None: Fraction(1)}})
 
 
-def _sample_categorical(weights: dict, rng: random.Random):
-    """Reference draw: the per-draw lcm and Fraction products that the
-    compiled sampler replaces."""
-    denom = math.lcm(*(w.denominator for w in weights.values()))
-    r = rng.randrange(denom)
-    acc = 0
-    for outcome in sorted(weights):
-        acc += int(weights[outcome] * denom)
-        if r < acc:
-            return outcome
-    raise AssertionError("categorical weights do not sum to 1")
-
-
 @st.composite
 def _fraction_tables(draw):
     """A prover table of a few keys, each a random distribution over up to
@@ -109,7 +96,7 @@ def test_compiled_sampler_draws_equal_reference(table, seed):
     keys = sorted(table)
     for i in range(200):
         problem, steps = keys[i % len(keys)]
-        assert prover.sample(problem, steps, compiled) == _sample_categorical(
+        assert prover.sample(problem, steps, compiled) == ref_draw(
             table[(problem, steps)], reference)
     assert compiled.getstate() == reference.getstate()
 
@@ -118,9 +105,9 @@ def test_compiled_sampler_draws_equal_reference(table, seed):
 def _exact_distributions(draw):
     """{token: weight} over some of the tokens 0..7, the weights k/denom
     for a denominator of 1, a power of two, one at either side of the
-    widest drawn by table (63 = 2**6 - 1), 3**50 or a random one, with
-    zero weights."""
-    denom = draw(st.sampled_from([1, 2, 8, 63, 64, 65, 2**64, 3**50])
+    widest drawn by table (64 = 2**6), 3**50 or a random one, with zero
+    weights."""
+    denom = draw(st.sampled_from([1, 2, 8, 64, 65, 2**64, 3**50])
                  | st.integers(1, 10**6))
     tokens = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8,
                            unique=True))
@@ -154,6 +141,11 @@ def _walk(x, prover_set, params, h, vclass, rng):
 
 _THIRDS = {0: Fraction(1, 3**50), 1: Fraction(0), 5: 1 - Fraction(1, 3**50)}
 
+# A tiny epsilon' makes the timeout budget about 23 rounds.
+_LONG_WALK = boosting.BoostParams(epsilon=Fraction(1, 5),
+                                  epsilon_prime=Fraction(1, 10**10),
+                                  delta=Fraction(1, 5))
+
 
 @given(dists=st.lists(_exact_distributions(), min_size=1, max_size=3),
        seed=st.integers(0, 2**32 - 1))
@@ -161,26 +153,23 @@ _THIRDS = {0: Fraction(1, 3**50), 1: Fraction(0), 5: 1 - Fraction(1, 3**50)}
 @example(dists=[{0: Fraction(1, 2), 6: Fraction(0), 7: Fraction(1, 2)},
                 {2: Fraction(3, 2**64), 4: 1 - Fraction(3, 2**64)}], seed=1)
 @example(dists=[_THIRDS, {5: Fraction(1)}], seed=2)
-@example(dists=[{1: Fraction(5, 63), 2: Fraction(58, 63)},
+@example(dists=[{1: Fraction(5, 64), 2: Fraction(59, 64)},
                 {3: Fraction(1, 65), 6: Fraction(64, 65)}], seed=3)
 @settings(max_examples=60, deadline=None)
-def test_walkers_draw_what_randrange_draws(dists, seed):
-    """The walkers' inlined draws give the randrange reference's
-    candidates and leave the generator where the reference leaves it:
+def test_walkers_draw_what_the_reference_draws(dists, seed):
+    """The walkers' inlined draws give the reference draw's candidates
+    and leave the generator where the reference leaves it:
     _walk on a universe holding only the tokens 0..3, so some candidates
     are outside it, and process_example on one holding every token."""
     provers = boosting.ProverSet(
         tuple(boosting.Prover({(0, ()): d}) for d in dists), Fraction(1))
-    # A tiny epsilon' makes the timeout budget about 23 rounds.
-    params = boosting.BoostParams(epsilon=Fraction(1, 5),
-                                  epsilon_prime=Fraction(1, 10**10),
-                                  delta=Fraction(1, 5))
+    params = _LONG_WALK
     budget = boosting.timeout_budget(provers.alpha, provers.k, 1,
                                      params.epsilon_prime)
     assert budget >= 23
     expected, ref = [], random.Random(seed)
     for _ in range(budget):
-        expected += [_sample_categorical(d, ref) for d in dists]
+        expected += [ref_draw(d, ref) for d in dists]
 
     rng = random.Random(seed)
     outcome, _path, rejected = _walk(
@@ -204,6 +193,56 @@ def test_walkers_draw_what_randrange_draws(dists, seed):
     assert [z.steps[0] for z in seen] == expected
     assert all(z is full.universe[z.steps[0]] for z in seen)
     assert rng.getstate() == ref.getstate()
+
+
+class _WordCounter(random.Random):
+    """A generator that records the width of every getrandbits word."""
+
+    def __init__(self, seed):
+        self.widths = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+class _Rejecting:
+    def predict(self, z):
+        return False
+
+
+def test_draws_take_the_narrowest_words():
+    """A draw with denominator 2**bits takes exactly one bits-wide word,
+    and a point mass (bits = 0) takes none and leaves the generator as it
+    was, through Prover.sample, _walk's inlined draw and
+    process_example.  Every power-of-two denominator up to 64 draws by a
+    table that rejects no word; 65 bisects."""
+    full = _one_step_class(range(8))
+    for bits in range(65):
+        dist = {2: 1 - Fraction(1, 1 << bits), 5: Fraction(1, 1 << bits)}
+        prover = boosting.Prover({(0, ()): dist})
+        provers = boosting.ProverSet((prover, prover), Fraction(1))
+        rng = _WordCounter(bits)
+        for _ in range(40):
+            assert dist[prover.sample(0, (), rng)]
+        outcome, _path, rejected = boosting._walk(
+            0, provers, _LONG_WALK, lambda z: False, full, rng)
+        result, calls = boosting.process_example(
+            0, provers, _LONG_WALK, _Rejecting(), Oracle(full, 0), rng)
+        assert not outcome.is_proof and result is boosting.ProcessResult.TIMEOUT
+        draws = 40 + len(rejected) + calls
+        assert draws > 40 + 2 * 23
+        assert rng.widths == ([bits] * draws if bits else [])
+        if not bits:
+            assert rng.getstate() == random.Random(0).getstate()
+        table = boosting._compile(dist, bits)[4]
+        if bits <= 6:
+            assert len(table) == 1 << bits and None not in table
+        else:
+            assert table is None
+    assert boosting._compile({0: Fraction(1, 65), 1: Fraction(64, 65)},
+                             65)[4] is None
 
 
 def test_walk_plans_follow_their_params_and_class():
@@ -268,13 +307,8 @@ def test_a_missing_distribution_fails_on_its_turn(setup):
     with pytest.raises(KeyError):
         boosting.weak_to_strong(0, provers, setup["params"], lambda z: False,
                                 vc, random.Random(0))
-
-    class Rejecting:
-        def predict(self, z):
-            return False
-
     with pytest.raises(KeyError):
-        boosting.process_example(0, provers, setup["params"], Rejecting(),
+        boosting.process_example(0, provers, setup["params"], _Rejecting(),
                                  Oracle(vc, 0), random.Random(0))
 
 
@@ -420,14 +454,14 @@ def test_evaluate_vhp_needs_a_trial(setup):
 
 # -- S2 early elimination ---------------------------------------------------
 
-# build_vhp's report for Random("pipeline:build") before S2 early
-# elimination, when one generator drove training and every snapshot was
-# tested on every S2 problem.
+# build_vhp's report for Random("pipeline:build") without S2 early
+# elimination, when one generator drives training and every snapshot is
+# tested on every S2 problem, with draws from the narrowest words.
 UNSTOPPED_REPORT = (
-    '{"complete_errors": [957, 957, 0], "oracle_call_cap_per_example": 88, '
+    '{"complete_errors": [966, 967, 0], "oracle_call_cap_per_example": 88, '
     '"s1_size": 139, "s2_size": 1300, "selected": 2, "snapshots": 3, '
-    '"sound_errors": [0, 0, 0], "test_oracle_calls": 9661, '
-    '"train_oracle_calls": 2246}'
+    '"sound_errors": [0, 0, 0], "test_oracle_calls": 9666, '
+    '"train_oracle_calls": 2138}'
 )
 
 
@@ -447,29 +481,23 @@ def _build(setup, seed, oracle=None, learner=None):
     )
 
 
-def test_compiled_sampler_keeps_every_draw(setup):
-    """Run the pipeline without early elimination, one generator for
-    everything, through the compiled samplers: every draw and so the whole
-    report equal those of the per-draw Fraction sampler."""
+def _unstopped_report(setup, draw_problem, process, test):
+    """The pipeline without early elimination: one generator for
+    everything, every snapshot tested on every S2 problem."""
     ps, params, oracle = setup["prover_set"], setup["params"], setup["oracle"]
-    rng = random.Random("pipeline:build")
-    problem_dist = boosting._compile(setup["D"], "D")
     learner = ConservativeWrapper(ScSoa(setup["vclass"], 0))
     n1, n2 = boosting.s1_size(params, 0, 3), boosting.s2_size(params, 0, 3)
     train_calls = 0
     for _ in range(n1):
-        x = boosting._draw(problem_dist, rng)
-        _result, calls = boosting.process_example(
-            x, ps, params, learner, oracle, rng)
+        _result, calls = process(draw_problem(), ps, params, learner, oracle)
         train_calls += calls
     produced = learner.snapshots[1:]
     errors = {kind: [0] * len(produced) for kind in boosting.TestResult}
     test_calls = 0
     for _ in range(n2):
-        x = boosting._draw(problem_dist, rng)
+        x = draw_problem()
         for i, h in enumerate(produced):
-            result, calls = boosting.test_hypothesis(
-                x, ps, params, h, oracle, rng)
+            result, calls = test(x, ps, params, h, oracle)
             test_calls += calls
             errors[result][i] += 1
     sound = errors[boosting.TestResult.SOUNDNESS_MISTAKE]
@@ -488,7 +516,26 @@ def test_compiled_sampler_keeps_every_draw(setup):
         "sound_errors": sound,
         "complete_errors": complete,
     }
-    assert json.dumps(report, sort_keys=True) == UNSTOPPED_REPORT
+    return json.dumps(report, sort_keys=True)
+
+
+def test_compiled_sampler_keeps_every_draw(setup):
+    """Run the pipeline without early elimination through the compiled
+    samplers and through the reference draw and walkers: every draw, and
+    so the whole report and the generator's final state, are the
+    reference's."""
+    rng, ref = random.Random("pipeline:build"), random.Random("pipeline:build")
+    problem_dist = boosting._compile(setup["D"], "D")
+    report = _unstopped_report(
+        setup, lambda: boosting._draw(problem_dist, rng),
+        lambda *args: boosting.process_example(*args, rng),
+        lambda *args: boosting.test_hypothesis(*args, rng))
+    assert report == _unstopped_report(
+        setup, lambda: ref_draw(setup["D"], ref),
+        lambda *args: _reference_process(*args, ref),
+        lambda *args: _reference_test(*args, ref))
+    assert rng.getstate() == ref.getstate()
+    assert report == UNSTOPPED_REPORT
     # Training is untouched by early elimination.
     built = _build(setup, "pipeline:build").report
     parent = json.loads(UNSTOPPED_REPORT)
@@ -652,8 +699,8 @@ def test_no_snapshot_qualifies_when_all_are_eliminated(
 
 def _reference_walk(x, prover_set, params, h, vclass, rng):
     """weak_to_strong on PrefixInstance objects, a new prefix per
-    candidate; returns the outcome, the accepted prefixes and every
-    rejected candidate."""
+    candidate, drawn by the reference draw; returns the outcome, the
+    accepted prefixes and every rejected candidate."""
     budget = boosting.timeout_budget(
         prover_set.alpha, prover_set.k, vclass.L, params.epsilon_prime)
     path, rejected = [], []
@@ -662,7 +709,8 @@ def _reference_walk(x, prover_set, params, h, vclass, rng):
         advanced = False
         for _attempt in range(budget):
             for prover in prover_set.provers:
-                z = PrefixInstance(x, steps + (prover.sample(x, steps, rng),))
+                tok = ref_draw(prover.distribution(x, steps), rng)
+                z = PrefixInstance(x, steps + (tok,))
                 if h(z):
                     path.append(z)
                     steps = z.steps
@@ -700,7 +748,8 @@ def _reference_test(x, prover_set, params, h, oracle, rng):
 
 
 def _reference_process(x, prover_set, params, learner, oracle, rng):
-    """process_example on PrefixInstance objects."""
+    """process_example on PrefixInstance objects, drawn by the reference
+    draw."""
     budget = boosting.timeout_budget(
         prover_set.alpha, prover_set.k, oracle.vclass.L, params.epsilon_prime)
     calls = 0
@@ -709,7 +758,8 @@ def _reference_process(x, prover_set, params, learner, oracle, rng):
         accepted = None
         for _attempt in range(budget):
             for prover in prover_set.provers:
-                z = PrefixInstance(x, steps + (prover.sample(x, steps, rng),))
+                tok = ref_draw(prover.distribution(x, steps), rng)
+                z = PrefixInstance(x, steps + (tok,))
                 v, y = learner.predict(z), oracle.prefix_label(z)
                 calls += 1
                 if v != y:

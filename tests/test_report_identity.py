@@ -13,9 +13,9 @@ PINNED = {
     "dim": (90, "381561a027e8566726741edaee4176977fff55a3a782f08df3692974dcc00a50"),
     "run": (1512, "15773fcfdc65944201432630cb46f80fd19574b33ac2262099fd60da156a4e1d"),
     "duel": (378, "173629f440d51f42fa90f9b1341a48b114235af76595200437cd200757bc3294"),
-    "boost": (15, "29a036f681f7129b0265513ad610708254378d61b3e4902a06e00cb97197da64"),
-    "boost-alpha1": (15, "6e788159b4754e599e2f2582ac1202c7a401cebf1c270ad8b3794ed2b6096d8a"),
-    "all": (2028, "fd6bc18fa10aed2b8858886582dc01ad320a6ad96e811c58dcc10bdc51580591"),
+    "boost": (15, "a19f1fcf61c3b160555515e710981a7d31691dddaf769cdb5fcb906b29f9fd96"),
+    "boost-alpha1": (15, "bc2932c4b12ee075aab6fab0717975857c0f2280bf690bc7038431eb69e8c4f1"),
+    "all": (2028, "f863f2e1b09420948358275ba2c6b37040a723d2221781c4aa7b854bfc8bb057"),
 }
 
 
