@@ -236,13 +236,15 @@ def emit(report: dict, out: Optional[str]) -> None:
 
 
 def _costs(args) -> CostVector:
-    return CostVector(args.gamma_s, args.gamma_c, args.gamma_l)
+    gamma_l = Fraction(0) if args.gamma_l is None else args.gamma_l
+    return CostVector(args.gamma_s, args.gamma_c, gamma_l)
 
 
 def _add_cost_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-s", type=parse_frac, default=Fraction(1))
     p.add_argument("--gamma-c", type=parse_frac, default=Fraction(1))
-    p.add_argument("--gamma-l", type=parse_frac, default=Fraction(0))
+    # None until given: scl-soa reads an unset gamma_l by its own default.
+    p.add_argument("--gamma-l", type=parse_frac, default=None)
 
 
 def cmd_families(args) -> int:
@@ -319,7 +321,8 @@ def _make_learner(name: str, vc, args):
     if name == "wsc-soa":
         return learners.WscSoa(vc, costs)
     if name == "scl-soa":
-        if costs.gamma_l == 0 and costs.gamma_c == costs.gamma_s == 1:
+        # An unset gamma_l at unit s and c costs means 1, not 0.
+        if args.gamma_l is None and costs.gamma_c == costs.gamma_s == 1:
             costs = CostVector(Fraction(1), Fraction(1), Fraction(1))
         return learners.SclSoa(vc, costs)
     raise CotVerifyError(f"unknown learner: {name}")

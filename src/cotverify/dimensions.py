@@ -259,47 +259,43 @@ def _extract(kind: str, eng, state, solve, expand, budget=None) -> MistakeTree:
     return MistakeTree(kind, nodes[state], budget)
 
 
-def _extract_weighted(kind: str, vs: VersionSpace, eng, gamma_s: Fraction,
-                      gamma_c: Fraction) -> MistakeTree:
-    """The prefix game's tree: a curvy YES edge and a straight NO edge."""
+def _extract_prefix(kind: str, vs: VersionSpace, eng, gamma_s: Fraction,
+                    gamma_c: Fraction, k: Optional[int] = None) -> MistakeTree:
+    """The prefix game's tree: a curvy YES edge and a straight NO edge over
+    (alive, budget) states.  SC's straight edge spends one of its budget
+    k; the plain and WSC games pass no k and never spend."""
     first = _distinct_masks(vs.vclass)
-
-    def expand(alive, m):
-        y = m & alive
-        return first[m], ((True, "c", gamma_c, y), (False, "s", gamma_s, alive ^ y))
-
-    return _extract(kind, eng, vs.alive, lambda: eng.value(vs.alive), expand)
-
-
-def _extract_plain(vs: VersionSpace) -> MistakeTree:
-    one = Fraction(1)
-    return _extract_weighted("plain", vs, _ldim_engine(vs.vclass), one, one)
-
-
-def _extract_wsc(vs: VersionSpace, costs: CostVector) -> MistakeTree:
-    ws, wc, _ = integer_costs(costs.gamma_s, costs.gamma_c)
-    return _extract_weighted("WSC", vs, _wsc_engine(vs.vclass, ws, wc),
-                             costs.gamma_s, costs.gamma_c)
-
-
-def _extract_sc(vs: VersionSpace, k: int) -> MistakeTree:
-    if k < 0:
-        raise ValueError("budget k must be >= 0")
-    eng = _sc_engine(vs.vclass)
-    first = _distinct_masks(vs.vclass)
-    one = Fraction(1)
+    spend, root = (0, kernels.FREE_BUDGET) if k is None else (1, k)
 
     def expand(state, m):
         alive, budget = state
         y = m & alive
         # At budget 0 the straight subtree is unconstrained, so a bare
         # leaf keeps the tree shattered without adding depth.
-        straight = None if budget == 0 else (alive ^ y, budget - 1)
-        return first[m], ((True, "c", one, (y, budget)),
-                          (False, "s", one, straight))
+        straight = None if budget == 0 else (alive ^ y, budget - spend)
+        return first[m], ((True, "c", gamma_c, (y, budget)),
+                          (False, "s", gamma_s, straight))
 
-    return _extract("SC", eng, (vs.alive, k), lambda: eng.value(vs.alive, k),
+    return _extract(kind, eng, (vs.alive, root), lambda: eng.value(vs.alive, root),
                     expand, budget=k)
+
+
+def _extract_plain(vs: VersionSpace) -> MistakeTree:
+    one = Fraction(1)
+    return _extract_prefix("plain", vs, _ldim_engine(vs.vclass), one, one)
+
+
+def _extract_wsc(vs: VersionSpace, costs: CostVector) -> MistakeTree:
+    ws, wc, _ = integer_costs(costs.gamma_s, costs.gamma_c)
+    return _extract_prefix("WSC", vs, _wsc_engine(vs.vclass, ws, wc),
+                           costs.gamma_s, costs.gamma_c)
+
+
+def _extract_sc(vs: VersionSpace, k: int) -> MistakeTree:
+    if k < 0:
+        raise ValueError("budget k must be >= 0")
+    one = Fraction(1)
+    return _extract_prefix("SC", vs, _sc_engine(vs.vclass), one, one, k)
 
 
 def _extract_scl(vs: VersionSpace, costs: CostVector) -> MistakeTree:

@@ -1,11 +1,19 @@
-"""Minimax kernels over bitmask version spaces, one engine per game.
+"""Minimax kernels over bitmask version spaces: one prefix search for
+three games, and the SCL search.
 
 All version spaces are int bitmasks over verifier ids; costs arrive
-pre-scaled to integers.  Each game function takes a memo dict, a moves
-dict and a two-slot stats list [nodes_expanded, memo_hits] that it
-mutates in place, and the state to solve last.
+pre-scaled to integers.  Each search takes a memo dict, a moves dict and
+a two-slot stats list [nodes_expanded, memo_hits] that it mutates in
+place, and the state to solve last.
 
-The SC and WSC searches are pruned by leaf-count bounds.  Every leaf of a
+The plain, SC and WSC games play on the same mistake trees, a curvy YES
+edge and a straight NO edge at every node, so one search (prefix_ldim)
+solves all three over states (alive, k).  A curvy edge weighs wc and
+keeps the budget k; a straight edge weighs ws and spends spend of it.
+SC is unit weights with spend 1, WSC is weights ws and wc with spend 0,
+and the plain game is WSC at unit weights.
+
+The prefix search is pruned by leaf-count bounds.  Every leaf of a
 shattered tree is consistent with a distinct verifier, so a version space
 of size s has value at most the largest value whose smallest tree has no
 more than s leaves (sc_bound, wsc_bound).  A node stops scanning once its
@@ -13,9 +21,9 @@ best split meets its own bound, skips a split whose child bounds cannot
 beat its best, skips a projection it has already tried, and leaves the
 second child unsolved when the first one already caps the split at its
 best.  Every child that is solved is solved exactly, so each memo entry
-is the exact value of its version space, never a bound.  The engines take
-the class's distinct yes-masks: a repeated mask always projects onto a
-split the node has already tried.
+is the exact value of its state, never a bound.  The engines take the
+class's distinct yes-masks: a repeated mask always projects onto a split
+the node has already tried.
 
 The SCL game is not pruned.  Its engine takes the distinct label
 partitions of the class's traces, and a node hands its children only the
@@ -26,7 +34,7 @@ the largest fault value, the l/l move from the second largest.
 
 Beside each memo entry the search records the node's realizing move: the
 first move in scan order that raised the node's best to its final value,
-or None for a value of 0.  For the prefix games that is the distinct
+or None for a value of 0.  For the prefix search that is the distinct
 yes-mask that splits the node, for SCL the distinct label partition.
 A move before it in scan order has a lower value, so it is the first
 realizing move of a full scan, and the children it names were solved on
@@ -42,6 +50,9 @@ from bisect import bisect_left, bisect_right
 from .core import ALL_CORRECT
 
 BACKEND = "pure"
+
+# The budget of the games that never spend one: any k > 0 would do.
+FREE_BUDGET = 1
 
 
 @functools.cache
@@ -101,11 +112,16 @@ def wsc_bound(size, ws, wc):
     return weights[bisect_right(leaves, size) - 1]
 
 
-def sc_ldim(yes_masks, memo, moves, stats, alive, k):
-    """Budgeted dimension: curvy branches keep k, straight branches burn it.
+def prefix_ldim(yes_masks, ws, wc, spend, bound, memo, moves, stats, alive,
+                k=FREE_BUDGET):
+    """The value of state (alive, k) in the prefix game with edge weights
+    ws and wc, whose straight edge spends spend of the budget k.
 
-    With k == 0 the straight subtree is unconstrained (any path through it
-    already exceeds the budget), so only the curvy branch contributes.
+    bound(size, k) is the largest value a state of that size can have:
+    sc_bound for SC, wsc_bound for the plain and WSC games, whose states
+    all keep FREE_BUDGET.  With k == 0 the straight subtree is
+    unconstrained (any path through it already exceeds the budget), so
+    only the curvy branch contributes, at most wc per verifier it drops.
     """
     if alive & (alive - 1) == 0:
         return 0
@@ -115,7 +131,8 @@ def sc_ldim(yes_masks, memo, moves, stats, alive, k):
         stats[1] += 1
         return cached
     stats[0] += 1
-    bound = sc_bound(alive.bit_count(), k)
+    top = bound(alive.bit_count(), k)
+    left = k - spend
     best = 0
     move = None
     seen = set()
@@ -124,63 +141,28 @@ def sc_ldim(yes_masks, memo, moves, stats, alive, k):
         if y == 0 or y == alive or y in seen:
             continue
         seen.add(y)
-        if k == 0:
-            if y.bit_count() <= best:  # 1 + sc_bound(|y|, 0) <= best
-                continue
-            cand = 1 + sc_ldim(yes_masks, memo, moves, stats, y, 0)
-        else:
+        if k:
             n = alive ^ y
-            if 1 + min(sc_bound(y.bit_count(), k),
-                       sc_bound(n.bit_count(), k - 1)) <= best:
+            if (ws + bound(n.bit_count(), left) <= best
+                    or wc + bound(y.bit_count(), k) <= best):
                 continue
-            straight = 1 + sc_ldim(yes_masks, memo, moves, stats, n, k - 1)
+            straight = ws + prefix_ldim(yes_masks, ws, wc, spend, bound, memo,
+                                        moves, stats, n, left)
             if straight <= best:
                 continue
-            cand = min(straight, 1 + sc_ldim(yes_masks, memo, moves, stats, y, k))
+            cand = min(straight, wc + prefix_ldim(yes_masks, ws, wc, spend, bound,
+                                                  memo, moves, stats, y, k))
+        else:
+            if wc * y.bit_count() <= best:
+                continue
+            cand = wc + prefix_ldim(yes_masks, ws, wc, spend, bound, memo, moves,
+                                    stats, y, 0)
         if cand > best:
             best, move = cand, m
-            if best >= bound:
+            if best >= top:
                 break
     memo[key] = best
     moves[key] = move
-    return best
-
-
-def wsc_ldim(yes_masks, ws, wc, memo, moves, stats, alive):
-    """Weighted dimension with integer edge weights (ws straight, wc curvy).
-
-    At unit costs this is the Littlestone dimension.
-    """
-    if alive & (alive - 1) == 0:
-        return 0
-    cached = memo.get(alive)
-    if cached is not None:
-        stats[1] += 1
-        return cached
-    stats[0] += 1
-    bound = wsc_bound(alive.bit_count(), ws, wc)
-    best = 0
-    move = None
-    seen = set()
-    for m in yes_masks:
-        y = m & alive
-        if y == 0 or y == alive or y in seen:
-            continue
-        seen.add(y)
-        n = alive ^ y
-        if min(ws + wsc_bound(n.bit_count(), ws, wc),
-               wc + wsc_bound(y.bit_count(), ws, wc)) <= best:
-            continue
-        straight = ws + wsc_ldim(yes_masks, ws, wc, memo, moves, stats, n)
-        if straight <= best:
-            continue
-        cand = min(straight, wc + wsc_ldim(yes_masks, ws, wc, memo, moves, stats, y))
-        if cand > best:
-            best, move = cand, m
-            if best >= bound:
-                break
-    memo[alive] = best
-    moves[alive] = move
     return best
 
 
@@ -261,15 +243,17 @@ class Engine:
 
 def ldim_engine(yes_masks):
     """The plain game is the weighted game at unit costs."""
-    return Engine(wsc_ldim, list(yes_masks), 1, 1)
+    return wsc_engine(yes_masks, 1, 1)
 
 
 def sc_engine(yes_masks):
-    return Engine(sc_ldim, list(yes_masks))
+    return Engine(prefix_ldim, list(yes_masks), 1, 1, 1, sc_bound)
 
 
 def wsc_engine(yes_masks, ws: int, wc: int):
-    return Engine(wsc_ldim, list(yes_masks), ws, wc)
+    # The budget never runs out, so the bound ignores it.
+    bound = functools.cache(lambda size, k: wsc_bound(size, ws, wc))
+    return Engine(prefix_ldim, list(yes_masks), ws, wc, 0, bound)
 
 
 def scl_engine(label_masks, ws: int, wc: int, wl: int):

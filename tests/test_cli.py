@@ -143,6 +143,17 @@ def test_duel_tree_tight(class_files, capsys):
     assert report["achieved"] == report["bound"]
 
 
+def test_duel_scl_soa_keeps_an_explicit_zero_gamma_l(class_files, capsys):
+    """scl-soa's default gamma_l of 1 applies only when --gamma-l is absent:
+    with an explicit 0, the tree duel's bound is the SCL dimension at 0."""
+    path = class_files["singleton3"]
+    assert run_cli("dim", "--class", path, "--kind", "scl", "--gamma-l", "0") == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert run_cli("duel", "--class", path, "--learner", "scl-soa",
+                   "--adversary", "tree", "--gamma-l", "0") == 0
+    assert json.loads(capsys.readouterr().out)["bound"] == value
+
+
 @pytest.mark.parametrize("learner", ["sc-soa", "wsc-soa", "scl-soa"])
 def test_duel_tree_on_a_zero_dimension_exits_2(tmp_path, capsys, learner):
     """A one-verifier class has dimension 0 in every game, so the tree

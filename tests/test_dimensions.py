@@ -82,6 +82,9 @@ def test_sc_decreasing_in_budget(corpus):
         values = [dimensions.sc_value(vs, k) for k in range(4)]
         assert values == sorted(values, reverse=True), name
         assert values[0] >= dimensions.ldim_value(vs) or values[0] == 0
+        # Every edge drops a verifier, so no path spends a budget of len(vc)
+        # and the game is the plain one.
+        assert dimensions.sc_value(vs, len(vc)) == dimensions.ldim_value(vs), name
 
 
 def test_wsc_unit_costs_recover_ldim(corpus_class):
@@ -208,11 +211,13 @@ def test_memo_entries_are_exact_values():
         for ws, wc in ((1, 1), (3, 1), (2, 3), (0, 1)):
             costs = CostVector(Fraction(ws), Fraction(wc), Fraction(0))
             dimensions.wsc_value(vs, costs)
-            for alive, v in dimensions._wsc_engine(vc, ws, wc).memo.items():
+            for (alive, k), v in dimensions._wsc_engine(vc, ws, wc).memo.items():
+                assert k == kernels.FREE_BUDGET
                 assert v == brute.bf_wsc_ldim(vc, ws, wc, _ids(alive)), (
                     trial, ws, wc)
         dimensions.ldim_value(vs)
-        for alive, v in dimensions._ldim_engine(vc).memo.items():
+        for (alive, k), v in dimensions._ldim_engine(vc).memo.items():
+            assert k == kernels.FREE_BUDGET
             assert v == brute.bf_ldim(vc, _ids(alive)), trial
     for trial in range(12):
         vc = brute.random_full_trace_class(rng, max_h=6, L=2)
