@@ -597,7 +597,7 @@ def process_example(
                 y = oracle.prefix_label(z)
                 calls += 1
                 if v != y:
-                    learner.update(z, y)
+                    learner.update(z, y, v)
                     return ProcessResult.MADE_MISTAKE, calls
                 if v and accepted is None:
                     accepted, next_node = z, i

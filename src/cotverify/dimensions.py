@@ -91,8 +91,8 @@ def depth_first(root, children):
 
 
 # Per-class cache of engines (and SCL label partitions) so repeated
-# queries, and online learners that consult dimension values every round,
-# share one memo table.
+# queries, and the optimal learners that keep their engine's value, share
+# one memo table.
 _class_caches: "weakref.WeakKeyDictionary[VerifierClass, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -138,8 +138,8 @@ def _sc_engine(vclass: VerifierClass):
 @functools.lru_cache(maxsize=256)
 def integer_costs(*costs: Fraction) -> tuple[int, ...]:
     """The costs as integers over their least common denominator, followed
-    by that denominator.  Cached per cost tuple: the weighted learners ask
-    for it on every prediction."""
+    by that denominator.  Cached per cost tuple: every weighted value
+    query asks for it."""
     scale = math.lcm(*(c.denominator for c in costs))
     return (*(int(c * scale) for c in costs), scale)
 
@@ -175,7 +175,7 @@ def _query(engine, value, *args) -> tuple:
     }
 
 
-# Raw value helpers, shared by learners that query dimensions per round.
+# Raw value helpers for one version space; the learners read their engine.
 
 def ldim_value(vs: VersionSpace) -> int:
     return _ldim_engine(vs.vclass).value(vs.alive)

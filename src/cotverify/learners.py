@@ -1,10 +1,11 @@
 """Online learners over finite verifier classes.
 
 Every learner exposes the same step interface: ``predict(z)`` returns a
-label, ``update(z, truth)`` folds in the revealed truth, ``snapshot()``
-freezes the current state into a standalone predictor.  Chain-of-thought
-learners consume CotInstances and emit fault labels; prefix learners
-consume PrefixInstances and emit accept/reject verdicts.
+label, ``update(z, truth, pred)`` folds in the revealed truth given the
+round's prediction ``pred``, ``snapshot()`` freezes the current state
+into a standalone predictor.  Chain-of-thought learners consume
+CotInstances and emit fault labels; prefix learners consume
+PrefixInstances and emit accept/reject verdicts.
 
 ``update`` rebinds a learner's attributes to new values and never
 mutates one in place, so a shallow copy (``Learner.frozen``) is a frozen
@@ -88,8 +89,8 @@ class MajorityVote(_SpaceLearner):
         vclass.read_past(z, masks)
         return ALL_CORRECT
 
-    def update(self, z: CotInstance, truth: Label) -> None:
-        if self.predict(z) != truth:
+    def update(self, z: CotInstance, truth: Label, pred: Label) -> None:
+        if pred != truth:
             self.vs = self.vs.restrict_cot(z, truth)
 
 
@@ -114,8 +115,8 @@ class SoundConservative(_SpaceLearner):
         vclass.read_past(z, masks)
         return ALL_CORRECT
 
-    def update(self, z: CotInstance, truth: Label) -> None:
-        if self.predict(z) != truth:
+    def update(self, z: CotInstance, truth: Label, pred: Label) -> None:
+        if pred != truth:
             self.vs = self.vs.restrict_cot(z, truth)
 
 
@@ -170,8 +171,7 @@ class RiverCrossingSound(Learner):
             return fault_at(len(path))
         return ALL_CORRECT
 
-    def update(self, z: CotInstance, truth: Label) -> None:
-        pred = self.predict(z)
+    def update(self, z: CotInstance, truth: Label, pred: Label) -> None:
         if pred == truth or pred == ALL_CORRECT:
             return
         # Completeness mistake: the move we faulted is actually legal.
@@ -197,22 +197,20 @@ class ScSoa(_SpaceLearner):
             raise ValueError("budget k must be >= 0")
         super().__init__(vclass, costs)
         self.k = k
+        self._value = dimensions._sc_engine(vclass).value
 
     def predict(self, z: PrefixInstance) -> PrefixLabel:
-        vs, k = self.vs, self.k
-        if vs.alive == 0:
+        alive, k = self.vs.alive, self.k
+        if alive == 0:
             raise EmptyVersionSpace("no verifier consistent with history")
-        ym = vs.yes_mask(z)
-        if ym == vs.alive:
+        ym = self.vs.yes_mask(z)
+        if ym == alive:
             return True
         if k == 0 or ym == 0:
             return False
-        m_c = dimensions.sc_value(vs.restrict(z, True), k)
-        m_s = dimensions.sc_value(vs.restrict(z, False), k - 1)
-        return not (m_c <= m_s)
+        return self._value(ym, k) > self._value(alive ^ ym, k - 1)
 
-    def update(self, z: PrefixInstance, truth: PrefixLabel) -> None:
-        pred = self.predict(z)
+    def update(self, z: PrefixInstance, truth: PrefixLabel, pred: PrefixLabel) -> None:
         if pred and not truth:
             self.k -= 1
         self.vs = self.vs.restrict(z, truth)
@@ -229,24 +227,25 @@ class WscSoa(_SpaceLearner):
     mode = "prefix"
     mistake_mode = "prefix-level"
 
+    def __init__(self, vclass: VerifierClass, costs: CostVector = _UNIT_COSTS):
+        super().__init__(vclass, costs)
+        self._ws, self._wc, _ = dimensions.integer_costs(costs.gamma_s, costs.gamma_c)
+        self._value = dimensions._wsc_engine(vclass, self._ws, self._wc).value
+
     def predict(self, z: PrefixInstance) -> PrefixLabel:
-        vs, costs = self.vs, self.costs
-        if vs.alive == 0:
+        alive = self.vs.alive
+        if alive == 0:
             raise EmptyVersionSpace("no verifier consistent with history")
-        ym = vs.yes_mask(z)
-        if ym == vs.alive:
+        ym = self.vs.yes_mask(z)
+        if ym == alive:
             return True
         if ym == 0:
             return False
-        # Accept iff gamma_c + W(yes) > gamma_s + W(no), compared exactly
-        # in units of 1/scale: every value is a multiple of it.
-        ws, wc, scale = dimensions.integer_costs(costs.gamma_s, costs.gamma_c)
-        m_c = dimensions.wsc_value(vs.restrict(z, True), costs)
-        m_s = dimensions.wsc_value(vs.restrict(z, False), costs)
-        return (wc + m_c.numerator * (scale // m_c.denominator)
-                > ws + m_s.numerator * (scale // m_s.denominator))
+        # Accept iff gamma_c + W(yes) > gamma_s + W(no), compared exactly in
+        # units of 1/scale, in which the costs and the engine's values are.
+        return self._wc + self._value(ym) > self._ws + self._value(alive ^ ym)
 
-    def update(self, z: PrefixInstance, truth: PrefixLabel) -> None:
+    def update(self, z: PrefixInstance, truth: PrefixLabel, pred: PrefixLabel) -> None:
         self.vs = self.vs.restrict(z, truth)
 
 
@@ -276,30 +275,31 @@ class SclSoa(_SpaceLearner):
     def __init__(self, vclass: VerifierClass, costs: CostVector):
         costs.require_ordered()
         super().__init__(vclass, costs)
+        self._weights = dimensions.integer_costs(
+            costs.gamma_s, costs.gamma_c, costs.gamma_l)[:3]
+        self._value = dimensions._scl_engine(vclass, *self._weights).value
 
     def predict(self, z: CotInstance) -> Label:
-        vs, costs = self.vs, self.costs
-        if vs.alive == 0:
+        alive = self.vs.alive
+        if alive == 0:
             raise EmptyVersionSpace("no verifier consistent with history")
-        labels = sorted(vs.cot_labels(z))
-        if len(labels) == 1:
-            return labels[0]
+        # The alive part of each group of z's partition, in label order.
+        groups = [(y, m & alive) for y, m in self.vs.vclass.cot_partition(z)
+                  if m & alive]
+        if len(groups) == 1:
+            return groups[0][0]
         # Losses and residual dimensions in units of 1/scale, exact: every
         # value is a multiple of it.
-        ws, wc, wl, scale = dimensions.integer_costs(
-            costs.gamma_s, costs.gamma_c, costs.gamma_l)
-        residual = {}
-        for y in labels:
-            r = dimensions.scl_value(vs.restrict_cot(z, y), costs)
-            residual[y] = r.numerator * (scale // r.denominator)
+        ws, wc, wl = self._weights
+        residual = [(y, self._value(sub)) for y, sub in groups]
         best, best_worst = None, None
-        for i in labels:
-            worst = max(_scl_loss(ws, wc, wl, i, j) + residual[j] for j in labels)
+        for i, _ in residual:
+            worst = max(_scl_loss(ws, wc, wl, i, j) + r for j, r in residual)
             if best_worst is None or worst < best_worst:
                 best, best_worst = i, worst
         return best
 
-    def update(self, z: CotInstance, truth: Label) -> None:
+    def update(self, z: CotInstance, truth: Label, pred: Label) -> None:
         self.vs = self.vs.restrict_cot(z, truth)
 
 
@@ -323,7 +323,7 @@ class RejectAll(_SpaceLearner):
             return labels.pop()
         return fault_at(1)
 
-    def update(self, z: CotInstance, truth: Label) -> None:
+    def update(self, z: CotInstance, truth: Label, pred: Label) -> None:
         self.vs = self.vs.restrict_cot(z, truth)
 
 
@@ -344,9 +344,9 @@ class ConservativeWrapper:
     def predict(self, z):
         return self.learner.predict(z)
 
-    def update(self, z, truth) -> None:
-        if self.learner.predict(z) != truth:
-            self.learner.update(z, truth)
+    def update(self, z, truth, pred) -> None:
+        if pred != truth:
+            self.learner.update(z, truth, pred)
             self.snapshots.append(self.learner.snapshot())
 
     def snapshot(self):
@@ -355,11 +355,11 @@ class ConservativeWrapper:
 
 def play_round(transcript: Transcript, learner, z, pred, truth, mode: str) -> None:
     """Record one round of a game and fold its truth into the learner: the
-    mistake of pred against truth is classified in the given mode and
-    priced at the learner's costs."""
+    mistake of pred, the learner's prediction on z, against truth is
+    classified in the given mode and priced at the learner's costs."""
     kind = classify_mistake(pred, truth, mode)
     transcript.record(z, pred, truth, kind, learner.costs.of(kind))
-    learner.update(z, truth)
+    learner.update(z, truth, pred)
 
 
 def run_online(

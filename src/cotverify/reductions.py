@@ -8,11 +8,13 @@ rejects after a correct prefix.
 
 Both wrappers update the inner learner only on mistake rounds, and both
 preserve soundness/completeness mistake budgets: each outer mistake
-coincides with exactly one inner mistake of the same kind.  A wrapper's
-update rebinds nothing of its own but updates its inner learner, so its
-frozen copy (``_Reduction.frozen``) holds a frozen copy of the inner
-learner too; ``snapshot()`` is the frozen copy's ``predict``, as for
-every learner.
+coincides with exactly one inner mistake of the same kind.  The inner
+update is given the inner prediction: ``CotFromPrefix`` reads it off the
+round's prediction, ``PrefixFromCot`` asks for it on a mistake round.  A
+wrapper's update rebinds nothing of its own but updates its inner
+learner, so its frozen copy (``_Reduction.frozen``) holds a frozen copy
+of the inner learner too; ``snapshot()`` is the frozen copy's
+``predict``, as for every learner.
 """
 
 from __future__ import annotations
@@ -57,16 +59,15 @@ class CotFromPrefix(_Reduction):
                 return fault_at(ell)
         return ALL_CORRECT
 
-    def update(self, z: CotInstance, truth: Label) -> None:
-        pred = self.predict(z)
+    def update(self, z: CotInstance, truth: Label, pred: Label) -> None:
         if pred == truth:
             return
         if pred < truth:
             # Completeness mistake: the step we faulted is actually fine.
-            self.inner.update(z.prefix(int(pred)), True)
+            self.inner.update(z.prefix(int(pred)), True, False)
         else:
             # Soundness mistake: we accepted through the true fault.
-            self.inner.update(z.prefix(int(truth)), False)
+            self.inner.update(z.prefix(int(truth)), False, True)
 
 
 class PrefixFromCot(_Reduction):
@@ -105,17 +106,16 @@ class PrefixFromCot(_Reduction):
     def predict(self, z: PrefixInstance) -> PrefixLabel:
         return not self.inner.predict(self._padded(z)) <= len(z.steps)
 
-    def update(self, z: PrefixInstance, truth: PrefixLabel) -> None:
-        if self.predict(z) == truth:
+    def update(self, z: PrefixInstance, truth: PrefixLabel, pred: PrefixLabel) -> None:
+        if pred == truth:
             return
         ell = len(z.steps)
         padded = self._padded(z)
         if not truth:
-            self.inner.update(padded, fault_at(ell))
-        elif ell < self.vclass.L:
-            self.inner.update(padded, fault_at(ell + 1))
+            label = fault_at(ell)
         else:
-            self.inner.update(padded, ALL_CORRECT)
+            label = fault_at(ell + 1) if ell < self.vclass.L else ALL_CORRECT
+        self.inner.update(padded, label, self.inner.predict(padded))
 
 
 def cot_from_prefix(prefix_learner) -> CotFromPrefix:

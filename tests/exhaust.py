@@ -165,7 +165,7 @@ def run_protocol_prefixes(learner, oracle, traces):
             truth = oracle.prefix_label(z)
             kind = classify_mistake(pred, truth, "prefix-level")
             transcript.record(z, pred, truth, kind, learner.costs.of(kind))
-            learner.update(z, truth)
+            learner.update(z, truth, pred)
             if not truth:
                 break
     return transcript

@@ -36,6 +36,14 @@ are worked out per draw from the Fractions, and ref_randbelow takes a
 uniform integer below the denominator by rejection from the narrowest
 getrandbits words that hold every integer below it, with no word for a
 point mass.
+
+The RefRound* learners are the learners' rounds as they were before
+update took the round's prediction: each update ignores pred and
+predicts again on its own learner (a reduction or wrapper also asks its
+inner learner for the prediction it passes on), and RefRoundScSoa,
+RefRoundWscSoa and RefRoundSclSoa predict through the dimensions.*_value
+helpers on restricted version spaces, as before they read their engine.
+RejectAll's update never read a prediction, so it is its own reference.
 """
 
 import itertools
@@ -44,6 +52,7 @@ from fractions import Fraction
 
 from cotverify.core import (
     ALL_CORRECT,
+    EmptyVersionSpace,
     VersionSpace,
     FailTokenInvalid,
     FailTokenRequired,
@@ -56,8 +65,10 @@ from cotverify.core import (
     UnknownInstance,
     VerifierClass,
     cot_instances,
+    fault_at,
     is_fault,
 )
+from cotverify import dimensions
 from cotverify.cli import frac_str, instance_json, label_json
 from cotverify.dimensions import (
     KINDS,
@@ -66,6 +77,17 @@ from cotverify.dimensions import (
     TreeNode,
     _check_node,
 )
+from cotverify.learners import (
+    ConservativeWrapper,
+    MajorityVote,
+    RiverCrossingSound,
+    ScSoa,
+    SclSoa,
+    SoundConservative,
+    WscSoa,
+    _scl_loss,
+)
+from cotverify.reductions import CotFromPrefix, PrefixFromCot
 from cotverify.families import RIVER_GOAL, RIVER_START, river_edges
 from cotverify.kernels import sc_bound, wsc_bound
 
@@ -598,3 +620,124 @@ def ref_draw(weights, rng):
         if r < acc:
             return outcome
     raise AssertionError("categorical weights do not sum to 1")
+
+
+class RefRoundMajorityVote(MajorityVote):
+    def update(self, z, truth, pred):
+        if self.predict(z) != truth:
+            self.vs = self.vs.restrict_cot(z, truth)
+
+
+class RefRoundSoundConservative(SoundConservative):
+    def update(self, z, truth, pred):
+        if self.predict(z) != truth:
+            self.vs = self.vs.restrict_cot(z, truth)
+
+
+class RefRoundRiverCrossingSound(RiverCrossingSound):
+    def update(self, z, truth, pred):
+        pred = self.predict(z)
+        if pred == truth or pred == ALL_CORRECT:
+            return
+        if truth > pred:
+            path = [self.states[s] for s in z.steps]
+            ell = int(pred)
+            if ell >= 2:
+                self.allowed = self.allowed | {(path[ell - 2], path[ell - 1])}
+
+
+class RefRoundScSoa(ScSoa):
+    def predict(self, z):
+        vs, k = self.vs, self.k
+        if vs.alive == 0:
+            raise EmptyVersionSpace("no verifier consistent with history")
+        ym = vs.yes_mask(z)
+        if ym == vs.alive:
+            return True
+        if k == 0 or ym == 0:
+            return False
+        m_c = dimensions.sc_value(vs.restrict(z, True), k)
+        m_s = dimensions.sc_value(vs.restrict(z, False), k - 1)
+        return not (m_c <= m_s)
+
+    def update(self, z, truth, pred):
+        if self.predict(z) and not truth:
+            self.k -= 1
+        self.vs = self.vs.restrict(z, truth)
+
+
+class RefRoundWscSoa(WscSoa):
+    def predict(self, z):
+        vs, costs = self.vs, self.costs
+        if vs.alive == 0:
+            raise EmptyVersionSpace("no verifier consistent with history")
+        ym = vs.yes_mask(z)
+        if ym == vs.alive:
+            return True
+        if ym == 0:
+            return False
+        ws, wc, scale = dimensions.integer_costs(costs.gamma_s, costs.gamma_c)
+        m_c = dimensions.wsc_value(vs.restrict(z, True), costs)
+        m_s = dimensions.wsc_value(vs.restrict(z, False), costs)
+        return (wc + m_c.numerator * (scale // m_c.denominator)
+                > ws + m_s.numerator * (scale // m_s.denominator))
+
+
+class RefRoundSclSoa(SclSoa):
+    def predict(self, z):
+        vs, costs = self.vs, self.costs
+        if vs.alive == 0:
+            raise EmptyVersionSpace("no verifier consistent with history")
+        labels = sorted(vs.cot_labels(z))
+        if len(labels) == 1:
+            return labels[0]
+        ws, wc, wl, scale = dimensions.integer_costs(
+            costs.gamma_s, costs.gamma_c, costs.gamma_l)
+        residual = {}
+        for y in labels:
+            r = dimensions.scl_value(vs.restrict_cot(z, y), costs)
+            residual[y] = r.numerator * (scale // r.denominator)
+        best, best_worst = None, None
+        for i in labels:
+            worst = max(_scl_loss(ws, wc, wl, i, j) + residual[j] for j in labels)
+            if best_worst is None or worst < best_worst:
+                best, best_worst = i, worst
+        return best
+
+
+class RefRoundConservativeWrapper(ConservativeWrapper):
+    def update(self, z, truth, pred):
+        pred = self.learner.predict(z)
+        if pred != truth:
+            self.learner.update(z, truth, pred)
+            self.snapshots.append(self.learner.snapshot())
+
+
+def _inner_update(inner, z, truth):
+    """Teach the inner learner, with the prediction it makes on z."""
+    inner.update(z, truth, inner.predict(z))
+
+
+class RefRoundCotFromPrefix(CotFromPrefix):
+    def update(self, z, truth, pred):
+        pred = self.predict(z)
+        if pred == truth:
+            return
+        if pred < truth:
+            _inner_update(self.inner, z.prefix(int(pred)), True)
+        else:
+            _inner_update(self.inner, z.prefix(int(truth)), False)
+
+
+class RefRoundPrefixFromCot(PrefixFromCot):
+    def update(self, z, truth, pred):
+        if self.predict(z) == truth:
+            return
+        ell = len(z.steps)
+        padded = self._padded(z)
+        if not truth:
+            _inner_update(self.inner, padded, fault_at(ell))
+        elif ell < self.vclass.L:
+            _inner_update(self.inner, padded, fault_at(ell + 1))
+        else:
+            _inner_update(self.inner, padded, ALL_CORRECT)

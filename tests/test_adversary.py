@@ -88,7 +88,7 @@ def _reference_play(tree, learner):
         edge = max((e for e in node.edges if e.label != pred),
                    key=lambda e: e.weight + min_path(e.child))
         rounds.append((node.instance, pred, edge.label))
-        learner.update(node.instance, edge.label)
+        learner.update(node.instance, edge.label, pred)
         node = edge.child
     return rounds
 

@@ -612,7 +612,7 @@ class _FixedSnapshot:
     def predict(self, z):
         return self.oracle.prefix_label(z)
 
-    def update(self, z, truth):
+    def update(self, z, truth, pred):
         raise AssertionError("never wrong, never updated")
 
     def snapshot(self):
@@ -763,7 +763,7 @@ def _reference_process(x, prover_set, params, learner, oracle, rng):
                 v, y = learner.predict(z), oracle.prefix_label(z)
                 calls += 1
                 if v != y:
-                    learner.update(z, y)
+                    learner.update(z, y, v)
                     return boosting.ProcessResult.MADE_MISTAKE, calls
                 if v and accepted is None:
                     accepted = z

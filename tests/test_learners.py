@@ -141,7 +141,7 @@ def test_river_learner_learns_hidden_edges():
         pred = learner.predict(trace)
         truth = oracle.cot_label(trace)
         assert pred < truth or truth == ALL_CORRECT
-        learner.update(trace, truth)
+        learner.update(trace, truth, pred)
         mistakes += 1
         assert mistakes <= len(hidden) + 1
     assert learner.predict(trace) == ALL_CORRECT
@@ -208,7 +208,7 @@ def test_snapshots_are_frozen(make):
     frozen = learner.snapshot()
     before = frozen(z)
     truth = next(y for y in truths if y != before)
-    learner.update(z, truth)
+    learner.update(z, truth, learner.predict(z))
     assert learner.predict(z) == truth
     assert frozen(z) == before
 
@@ -270,8 +270,9 @@ def test_cli_learners_stay_frozen_while_learning(name, flag, vc):
         rounds = list(_protocol_rounds(vc, learner.mode, Oracle(vc, target)))
         snapshots, mistakes = [learner.snapshot()], 0
         for z, truth in rounds:
-            mistakes += learner.predict(z) != truth
-            learner.update(z, truth)
+            pred = learner.predict(z)
+            mistakes += pred != truth
+            learner.update(z, truth, pred)
             snapshots.append(learner.snapshot())
         most = max(most, mistakes)
         changed |= any(snapshots[0](z) != learner.predict(z) for z in domain)
@@ -280,7 +281,8 @@ def test_cli_learners_stay_frozen_while_learning(name, flag, vc):
             assert ([frozen(z) for z in domain]
                     == [fresh.predict(z) for z in domain]), (target, i)
             if i < len(rounds):
-                fresh.update(*rounds[i])
+                z, truth = rounds[i]
+                fresh.update(z, truth, fresh.predict(z))
     # Some run made several mistake updates after its first snapshot.
     assert most >= 2 and changed
 

@@ -10,12 +10,13 @@ from cotverify.core import (
     ALL_CORRECT,
     CotInstance,
     FailTokenRequired,
+    MistakeKind,
     Oracle,
     PrefixInstance,
     VersionSpace,
     cot_instances,
 )
-from cotverify.learners import ScSoa, SoundConservative, run_online
+from cotverify.learners import MajorityVote, ScSoa, SoundConservative, run_online
 from cotverify.reductions import cot_from_prefix, prefix_from_cot
 
 
@@ -46,7 +47,7 @@ def test_cot_from_prefix_updates_inner_once_per_mistake():
     inner = ScSoa(vc, 1)
     updates = []
     original = inner.update
-    inner.update = lambda z, y: (updates.append((z, y)), original(z, y))
+    inner.update = lambda z, y, p: (updates.append((z, y)), original(z, y, p))
     wrapped = cot_from_prefix(inner)
     t = run_online(wrapped, oracle, cot_instances(vc))
     assert len(updates) == t.total_mistakes
@@ -97,5 +98,53 @@ def test_snapshot_composites_are_frozen():
     frozen = learner.snapshot()
     z = PrefixInstance(0, (0,))
     before = frozen(z)
-    learner.update(z, oracle.prefix_label(z))
+    learner.update(z, oracle.prefix_label(z), learner.predict(z))
     assert frozen(z) == before
+
+
+def checked(cls, seen):
+    """cls, whose update asserts that the pred it is given is its own
+    prediction on the instance and records (pred, truth) in seen."""
+
+    class Checked(cls):
+        def update(self, z, truth, pred):
+            assert pred == self.predict(z), (z, truth, pred)
+            seen.append((pred, truth))
+            super().update(z, truth, pred)
+
+    return Checked
+
+
+def test_cot_from_prefix_passes_the_inner_prediction():
+    """A completeness mistake teaches the inner learner a prefix it
+    rejected, a soundness mistake (also from an ALL_CORRECT prediction)
+    one it accepted."""
+    seen, outer = [], set()
+    for vc in (families.indicator_class(3), families.complement_class(4, 2)):
+        for target, k in itertools.product(range(len(vc)), (0, 1, 2)):
+            learner = cot_from_prefix(checked(ScSoa, seen)(vc, k))
+            t = run_online(learner, Oracle(vc, target), cot_instances(vc) * 2)
+            outer |= {(r.kind, r.prediction == ALL_CORRECT) for r in t.rounds}
+    assert {(MistakeKind.COMPLETENESS, False), (MistakeKind.SOUNDNESS, False),
+            (MistakeKind.SOUNDNESS, True)} <= outer
+    assert set(seen) == {(False, True), (True, False)}
+
+
+def test_prefix_from_cot_passes_the_inner_prediction():
+    """Each outer mistake kind teaches the inner learner a label other than
+    its own prediction, including an ALL_CORRECT prediction at full
+    length, and asks for that prediction once."""
+    seen, outer = [], set()
+    for base in (families.indicator_class(3), families.complement_class(4, 2)):
+        vc = families.with_fail_token(base)
+        traces = [z for z in cot_instances(vc) if vc.fail_token not in z.steps]
+        for target, inner, order in itertools.product(
+                range(len(vc)), (MajorityVote, SoundConservative),
+                (traces, traces[::-1], traces[1::2] + traces[::2])):
+            learner = prefix_from_cot(checked(inner, seen)(vc), vc)
+            t = exhaust.run_protocol_prefixes(learner, Oracle(vc, target), order)
+            outer |= {r.kind for r in t.rounds}
+    assert {MistakeKind.SOUNDNESS, MistakeKind.COMPLETENESS} <= outer
+    assert all(pred != truth for pred, truth in seen)
+    assert any(pred == ALL_CORRECT for pred, _ in seen)
+    assert any(truth == ALL_CORRECT for _, truth in seen)
