@@ -16,6 +16,7 @@ from . import families
 from .core import (
     ALL_CORRECT,
     CotInstance,
+    CotVerifyError,
     LearnerNotSound,
     Transcript,
     TreeNotShattered,
@@ -23,7 +24,7 @@ from .core import (
     fault_at,
     is_fault,
 )
-from .dimensions import MistakeTree, _min_paths, _remainder, verify_shattered
+from .dimensions import MistakeTree, _min_paths, verify_shattered
 from .learners import play_round
 
 
@@ -31,29 +32,38 @@ def _learner_space(learner) -> VersionSpace:
     vs = getattr(learner, "vs", None)
     if vs is not None:
         return vs
-    return VersionSpace.full(learner.vclass)
+    vclass = getattr(learner, "vclass", None)
+    if vclass is None:  # a wrapper or reduction over another learner
+        raise CotVerifyError(
+            "the tree adversary plays a learner that holds its version space "
+            f"or class; {type(learner).__name__} holds neither")
+    return VersionSpace.full(vclass)
 
 
 def play_tree_adversary(tree: MistakeTree, learner) -> Transcript:
     """Walk the tree against the learner, contradicting every prediction.
 
     The tree must be shattered by the learner's full class, so every
-    revealed label stays consistent with some verifier.
+    revealed label stays consistent with some verifier.  A wrapper or
+    reduction holds neither a version space nor a class and is refused
+    with CotVerifyError.
     """
     space = _learner_space(learner)
     if not verify_shattered(tree, space):
         raise TreeNotShattered("tree is not shattered by the class")
-    below = _min_paths(tree.root)
     mode = "sequence-level" if tree.kind == "SCL" else "prefix-level"
+    nodes = tree.nodes
+    below = _min_paths(nodes)
     transcript = Transcript()
-    node = tree.root
-    while node is not None:
-        pred = learner.predict(node.instance)
-        contradicting = [e for e in node.edges if e.label != pred]
+    i = 0 if nodes else None
+    while i is not None:
+        z, edges = nodes[i]
+        pred = learner.predict(z)
         # Descend toward the costlier guaranteed remainder.
-        edge = max(contradicting, key=lambda e: _remainder(e, below))
-        play_round(transcript, learner, node.instance, pred, edge.label, mode)
-        node = edge.child
+        label, _, _, i = max(
+            (e for e in edges if e[0] != pred),
+            key=lambda e: e[2] if e[3] is None else e[2] + below[e[3]])
+        play_round(transcript, learner, z, pred, label, mode)
     return transcript
 
 

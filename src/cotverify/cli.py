@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import random
 import re
@@ -103,49 +102,50 @@ def transcript_json(t: Transcript) -> dict:
     }
 
 
-def tree_json(node) -> Optional[dict]:
-    if node is None:
-        return None
-    # Each subtree's JSON by the id of its root, built before its parent's;
-    # a bare leaf (None) is null.
-    done = {id(None): None}
-    for n in reversed([*dimensions.depth_first(
-            node, lambda m: [e.child for e in m.edges if e.child is not None])]):
-        done[id(n)] = {
-            "instance": instance_json(n.instance),
-            "edges": [{"label": label_json(e.label), "kind": e.kind,
-                       "weight": frac_str(e.weight), "child": done[id(e.child)]}
-                      for e in n.edges],
+def tree_json(tree) -> Optional[dict]:
+    """The tree as nested JSON objects, null for a tree without nodes:
+    one backward loop builds each node's object after its children's."""
+    nodes = tree.nodes
+    done = [None] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        z, edges = nodes[i]
+        done[i] = {
+            "instance": instance_json(z),
+            "edges": [{"label": label_json(label), "kind": kind,
+                       "weight": frac_str(w), "child": None if c is None else done[c]}
+                      for label, kind, w, c in edges],
         }
-    return done[id(node)]
+    return done[0] if done else None
 
 
 def tree_dot(tree) -> str:
+    """The tree in Graphviz DOT: nodes and bare leaves numbered in
+    pre-order, each edge's line after its child's subtree."""
+    nodes = tree.nodes
     lines = ["digraph mistake_tree {"]
-    index = itertools.count()
-
-    # An item is a node to draw, with its parent's index and the edge into
-    # it, or the line of that edge, which follows the child's subtree.
-    def draw(item):
-        if isinstance(item, str):
+    # The next item on top: an edge's line, or a node index (None for a
+    # bare leaf) with its parent's DOT number and the edge into it.
+    todo = [(0 if nodes else None, None, None)]
+    number = 0
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
             lines.append(item)
-            return ()
-        parent, edge, node = item
-        idx = next(index)
-        if node is None:
-            lines.append(f'  n{idx} [shape=point, label=""];')
+            continue
+        i, parent, edge = item
+        if i is None:
+            lines.append(f'  n{number} [shape=point, label=""];')
         else:
-            steps = "".join(map(str, node.instance.steps))
-            lines.append(f'  n{idx} [label="{node.instance.problem}:{steps}"];')
-        below = [] if node is None else [(idx, e, e.child) for e in node.edges]
+            z, edges = nodes[i]
+            lines.append(f'  n{number} [label="{z.problem}:{"".join(map(str, z.steps))}"];')
         if edge is not None:
-            style = "dashed" if edge.kind == "c" else "solid"
-            below.append(f'  n{parent} -> n{idx} [label="{label_json(edge.label)} '
-                         f'({frac_str(edge.weight)})", style={style}];')
-        return below
-
-    for _ in dimensions.depth_first((None, None, tree.root), draw):
-        pass
+            label, kind, w, _ = edge
+            style = "dashed" if kind == "c" else "solid"
+            todo.append(f'  n{parent} -> n{number} [label="{label_json(label)} '
+                        f'({frac_str(w)})", style={style}];')
+        if i is not None:
+            todo.extend([(e[3], number, e) for e in reversed(edges)])
+        number += 1
     lines.append("}")
     return "\n".join(lines)
 
@@ -295,7 +295,7 @@ def cmd_dim(args) -> int:
         "stats": res.stats,
     }
     if res.witness is not None:
-        report["witness"] = tree_json(res.witness.root)
+        report["witness"] = tree_json(res.witness)
         report["witness_dot"] = tree_dot(res.witness)
         report["witness_verified"] = (
             dimensions.verify_shattered(res.witness, vs)

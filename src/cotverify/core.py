@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter, lt
 from typing import Iterable, Optional, Sequence
 
 # Prefix verdicts.  Tables store plain bools; YES/NO aliases keep call
@@ -53,6 +55,10 @@ class ParseError(CotVerifyError):
 
 class SchemaError(CotVerifyError):
     pass
+
+
+class _NotCanonical(SchemaError):
+    """A universe out of canonical order: from_masks sorts it."""
 
 
 class EmptyVersionSpace(CotVerifyError):
@@ -184,15 +190,17 @@ class VerifierClass:
         self.yes_masks = list(yes_masks)
         self.n_verifiers = n_verifiers
         self.fail_token = fail_token
-        self._validate()
-        self.index: dict[tuple[int, tuple[int, ...]], int] = {
-            (z.problem, z.steps): i for i, z in enumerate(self.universe)}
+        problem_of, steps_of = self._validate()
+        self.index: dict[tuple[int, tuple[int, ...]], int] = dict(
+            zip(zip(problem_of, steps_of), range(len(steps_of))))
         # Per-trace caches, keyed by (problem, steps) like the index.
         self._partitions: dict[tuple, tuple[tuple[Label, int], ...]] = {}
         self._prefix_masks: dict[tuple, tuple[int, ...]] = {}
         self._verifiers: Optional[tuple[Verifier, ...]] = None
 
-    def _validate(self):
+    def _validate(self) -> tuple[list, list]:
+        """Refuse an invalid class with SchemaError, checking the universe
+        in whole-list passes; return its problem ids and steps."""
         if self.L < 1:
             raise SchemaError("L must be >= 1")
         if len(self.sigma) < 1:
@@ -207,18 +215,23 @@ class VerifierClass:
             raise SchemaError("fail_token not in alphabet")
         if not self.universe:
             raise SchemaError("universe must be nonempty")
-        keys = [z.sort_key() for z in self.universe]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        problem_of = list(map(attrgetter("problem"), self.universe))
+        steps_of = list(map(attrgetter("steps"), self.universe))
+        lengths = list(map(len, steps_of))
+        keys = list(zip(problem_of, lengths, steps_of))  # the sort keys
+        if not all(map(lt, keys, keys[1:])):
             if len(set(keys)) != len(keys):
                 raise SchemaError("duplicate universe instance")
-            raise SchemaError("universe not in canonical order")
-        for z in self.universe:
-            if len(z.steps) > self.L:
-                raise SchemaError(f"prefix longer than L: {z}")
-            if z.problem not in problem_ids:
-                raise SchemaError(f"unknown problem in universe: {z}")
-            if not token_ids.issuperset(z.steps):
-                raise SchemaError(f"unknown token in universe: {z}")
+            raise _NotCanonical("universe not in canonical order")
+        if not (max(lengths) <= self.L and problem_ids.issuperset(problem_of)
+                and token_ids.issuperset(chain.from_iterable(steps_of))):
+            for z in self.universe:
+                if len(z.steps) > self.L:
+                    raise SchemaError(f"prefix longer than L: {z}")
+                if z.problem not in problem_ids:
+                    raise SchemaError(f"unknown problem in universe: {z}")
+                if not token_ids.issuperset(z.steps):
+                    raise SchemaError(f"unknown token in universe: {z}")
         n = self.n_verifiers
         if type(n) is not int or n < 0:
             raise SchemaError("verifier count must be a nonnegative integer")
@@ -226,6 +239,7 @@ class VerifierClass:
             raise SchemaError("need one yes-mask per universe instance")
         if min(self.yes_masks) < 0 or max(self.yes_masks) >> n:
             raise SchemaError(f"yes-mask names a verifier outside 0..{n - 1}")
+        return problem_of, steps_of
 
     @classmethod
     def from_masks(
@@ -237,11 +251,16 @@ class VerifierClass:
         n_verifiers: int,
         fail_token: Optional[int] = None,
     ) -> "VerifierClass":
-        """Build from (instance, yes-mask) pairs in any instance order."""
-        pairs = sorted(masks, key=lambda pair: pair[0].sort_key())
-        universe = [z for z, _ in pairs]
-        yes_masks = [m for _, m in pairs]
-        return cls(sigma, problems, L, universe, yes_masks, n_verifiers, fail_token)
+        """Build from (instance, yes-mask) pairs in any instance order,
+        sorting them only when they are out of canonical order."""
+        pairs = list(masks)
+        try:
+            return cls(sigma, problems, L, [z for z, _ in pairs],
+                       [m for _, m in pairs], n_verifiers, fail_token)
+        except _NotCanonical:
+            pairs.sort(key=lambda pair: pair[0].sort_key())
+            return cls(sigma, problems, L, [z for z, _ in pairs],
+                       [m for _, m in pairs], n_verifiers, fail_token)
 
     def row_bits(self) -> list[str]:
         """Each verifier's truth table in universe order, as a string of
@@ -545,8 +564,10 @@ def validate_fail_token(vclass: VerifierClass) -> None:
     For every universe prefix ending in the fail token whose strict prefix
     is correct under at least one verifier in the class, every verifier
     must reject it.  The verifiers that find the strict prefix correct are
-    the AND of its prefixes' yes-masks; a prefix the walk reaches while
-    some verifier is still correct must be in the universe.
+    the AND of its prefixes' yes-masks.  A prefix the walk reaches while
+    some verifier is still correct must be in the universe: without it no
+    verifier has a label on the padded trace, so the hypothesis fails
+    there too, with FailTokenInvalid naming the missing prefix.
     """
     if vclass.fail_token is None:
         raise FailTokenRequired("class declares no fail token")
@@ -559,8 +580,10 @@ def validate_fail_token(vclass: VerifierClass) -> None:
             if not correct:
                 break
             j = index.get((z.problem, z.steps[:ell]))
-            if j is None:  # index_of raises UnknownInstance
-                vclass.index_of(PrefixInstance(z.problem, z.steps[:ell]))
+            if j is None:
+                raise FailTokenInvalid(
+                    f"fail-token step at {z} follows a prefix missing from "
+                    f"the universe: {PrefixInstance(z.problem, z.steps[:ell])}")
             correct &= yes_masks[j]
         if correct and yes_masks[i]:
             raise FailTokenInvalid(

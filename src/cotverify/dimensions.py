@@ -15,6 +15,11 @@ All values are exact: integers for ldim/sc_ldim, rationals for the
 weighted games.  Rational costs are scaled to integers before hitting
 the kernels and scaled back on the way out.  A witness mistake tree can
 be extracted for any positive value and independently re-verified.
+
+A MistakeTree is one flat list of nodes, each edge naming its child by
+index, so every walk is a plain loop forward from the root or backward
+from the leaves: no walk recurses, and a witness goes as deep as the
+search.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ KINDS = ("plain", "SC", "WSC", "SCL")
 
 @dataclass(frozen=True)
 class TreeEdge:
-    """One labeled edge of a mistake tree; child None means leaf."""
+    """One labeled edge of a nested tree view; child None means leaf."""
 
     label: object  # PrefixLabel for prefix-level kinds, Label for SCL
     kind: str  # "s", "c", or "l"
@@ -61,9 +66,30 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class MistakeTree:
+    """A mistake tree as one flat list of nodes.
+
+    nodes[i] is node i's (instance, edges), each edge (label, kind,
+    weight, child) with child the index of the node below it, or None for
+    a bare leaf.  Node 0 is the root; every other node is named by one
+    edge of an earlier node.  Extraction lists them in pre-order.  A tree
+    without nodes is a single bare leaf.
+    """
+
     kind: str  # one of KINDS
-    root: Optional[TreeNode]
+    nodes: list
     budget: Optional[int] = None  # straight-edge budget, SC kind only
+
+    @property
+    def root(self) -> Optional[TreeNode]:
+        """The tree as nested TreeNode objects, built afresh on each call,
+        for callers that walk a tree by object."""
+        built = [None] * len(self.nodes)
+        for i in range(len(built) - 1, -1, -1):
+            z, edges = self.nodes[i]
+            built[i] = TreeNode(z, tuple([
+                TreeEdge(label, kind, w, None if c is None else built[c])
+                for label, kind, w, c in edges]))
+        return built[0] if built else None
 
 
 @dataclass(frozen=True)
@@ -71,23 +97,6 @@ class DimResult:
     value: Union[int, Fraction]
     witness: Optional[MistakeTree]
     stats: dict
-
-
-def depth_first(root, children):
-    """Yield root and everything below it, depth-first in edge order, from
-    an explicit stack, so no walk is bound by the recursion limit.
-
-    children(node) gives a list or tuple of node's children in edge order.
-    It is asked after node is yielded, so a walk that stops early asks no
-    further.  Listed and reversed, the walk puts every node after its
-    descendants.
-    """
-    stack = [root]
-    pop, push = stack.pop, stack.extend
-    while stack:
-        node = pop()
-        yield node
-        push(children(node)[::-1])
 
 
 # Per-class cache of engines (and SCL label partitions) so repeated
@@ -242,21 +251,21 @@ def _extract(kind: str, eng, state, solve, expand, budget=None) -> MistakeTree:
         solve()  # a cold root, which no query has solved yet
     if moves.get(state) is None:
         raise NoWitness("dimension is 0")
-    # Expand top-down, then freeze bottom-up.  A child's version space is a
-    # strict part of its parent's and disjoint from its sibling's, so no
-    # state repeats in a witness and one dict can hold each state's
-    # expansion and then its node.
-    nodes = {}
-
-    def children(state):
-        z, edges = nodes[state] = expand(state, moves[state])
-        return [e[3] for e in edges if moves.get(e[3]) is not None]
-
-    for s in [*depth_first(state, children)][::-1]:
-        z, edges = nodes[s]
-        nodes[s] = TreeNode(z, tuple([TreeEdge(label, k, w, nodes.get(child))
-                                      for label, k, w, child in edges]))
-    return MistakeTree(kind, nodes[state], budget)
+    # Expand in pre-order from one stack, then name each child by its node
+    # index: sibling version spaces are disjoint, so no state repeats in a
+    # witness.  A child that no node expanded is a bare leaf.
+    expanded, at = [], {}
+    stack = [state]
+    while stack:
+        s = stack.pop()
+        at[s] = len(expanded)
+        z, edges = expand(s, moves[s])
+        expanded.append((z, edges))
+        stack.extend([e[3] for e in reversed(edges) if moves.get(e[3]) is not None])
+    index = at.get
+    return MistakeTree(kind, [
+        (z, tuple([(label, k, w, index(child)) for label, k, w, child in edges]))
+        for z, edges in expanded], budget)
 
 
 def _extract_prefix(kind: str, vs: VersionSpace, eng, gamma_s: Fraction,
@@ -357,65 +366,78 @@ def extract_witness(
     raise ValueError(f"unknown tree kind: {kind}")
 
 
-def _check_node(node: TreeNode, kind: str) -> None:
-    if len(node.edges) != 2:
-        raise MalformedTree(f"node must have exactly 2 edges, got {len(node.edges)}")
+def _check_node(z, edges, kind: str) -> None:
+    """Refuse a node that no tree of the kind has: MalformedTree."""
+    if len(edges) != 2:
+        raise MalformedTree(f"node must have exactly 2 edges, got {len(edges)}")
+    (la, ka, wa, _), (lb, kb, wb, _) = edges
     unit = kind in ("plain", "SC")
-    for e in node.edges:
-        if e.weight != 1 if unit else e.weight < 0:
+    for w in (wa, wb):
+        if w != 1 if unit else w < 0:
             raise MalformedTree(f"{kind} edges must weigh 1" if unit
                                 else "negative edge weight")
     if kind == "SCL":
-        if not isinstance(node.instance, CotInstance):
+        if not isinstance(z, CotInstance):
             raise MalformedTree("SCL node must carry a full trace")
-        a, b = node.edges
-        kinds = {a.kind, b.kind}
+        kinds = {ka, kb}
         if kinds == {"l"}:
-            if not (is_fault(a.label) and is_fault(b.label)):
+            if not (is_fault(la) and is_fault(lb)):
                 raise MalformedTree("l-edges must carry fault labels")
-            if a.label == b.label:
+            if la == lb:
                 raise MalformedTree("l-edges must carry distinct labels")
         elif kinds == {"s", "c"}:
-            s_edge = a if a.kind == "s" else b
-            c_edge = a if a.kind == "c" else b
-            if not is_fault(s_edge.label):
+            s_label, c_label = (la, lb) if ka == "s" else (lb, la)
+            if not is_fault(s_label):
                 raise MalformedTree("s-edge must carry a fault label")
-            if c_edge.label != ALL_CORRECT:
+            if c_label != ALL_CORRECT:
                 raise MalformedTree("c-edge must carry the all-correct label")
         else:
             raise MalformedTree(f"invalid SCL edge kinds: {kinds}")
     else:
-        if not isinstance(node.instance, PrefixInstance):
+        if not isinstance(z, PrefixInstance):
             raise MalformedTree(f"{kind} node must carry a prefix instance")
-        by_kind = {e.kind: e for e in node.edges}
+        by_kind = {ka: la, kb: lb}
         if set(by_kind) != {"s", "c"}:
             raise MalformedTree("need one straight and one curvy edge")
-        if by_kind["c"].label is not True or by_kind["s"].label is not False:
+        if by_kind["c"] is not True or by_kind["s"] is not False:
             raise MalformedTree("curvy edge must be YES, straight edge NO")
 
 
 def verify_shattered(tree: MistakeTree, vs: VersionSpace) -> bool:
-    """Every root-to-leaf path is consistent with some alive verifier."""
-    if tree.kind not in KINDS:
-        raise MalformedTree(f"unknown tree kind: {tree.kind}")
-    if tree.root is None:
-        return True
-    restrict = (VersionSpace.restrict_cot if tree.kind == "SCL"
-                else VersionSpace.restrict)
+    """Every root-to-leaf path is consistent with some alive verifier.
 
-    # A bare leaf is listed only when no alive verifier reaches it, and the
-    # walk stops there, so a node is checked where its turn comes.
-    def children(item):
-        node, space = item
-        _check_node(node, tree.kind)
-        return [(e.child, sub) for e in node.edges
-                if not (sub := restrict(space, node.instance, e.label)).alive
-                or e.child is not None]
-
-    for node, _ in depth_first((tree.root, vs), children):
-        if node is None:
-            return False
-    return True
+    One forward loop gives each node the verifiers of vs that agree with
+    every label on its path, set by its parent's edge; a path fails at a
+    bare leaf that none of them reaches.  Every node is checked, so a
+    malformed node raises MalformedTree even beside a failing path, as
+    does a node that is not named by exactly one edge of an earlier node.
+    """
+    kind = tree.kind
+    if kind not in KINDS:
+        raise MalformedTree(f"unknown tree kind: {kind}")
+    nodes, vclass = tree.nodes, vs.vclass
+    n = len(nodes)
+    alive = [vs.alive] + [None] * (n - 1)
+    shattered = True
+    for i, (z, edges) in enumerate(nodes):
+        a = alive[i]
+        if a is None:
+            raise MalformedTree(f"no edge of an earlier node names node {i}")
+        _check_node(z, edges, kind)
+        if kind == "SCL":
+            part = dict(vclass.cot_partition(z))
+        else:
+            yes = vclass.yes_masks[vclass.index_of(z)]
+            part = {True: yes, False: ~yes}
+        for label, _, _, c in edges:
+            sub = a & part.get(label, 0)
+            if c is None:
+                shattered = shattered and sub != 0
+            elif type(c) is int and i < c < n and alive[c] is None:
+                alive[c] = sub
+            else:
+                raise MalformedTree(f"node {i} names {c!r}, not a later node of its own")
+    return shattered
 
 
 def certified_value(tree: MistakeTree) -> Union[int, Fraction]:
@@ -425,42 +447,43 @@ def certified_value(tree: MistakeTree) -> Union[int, Fraction]:
     unconstrained and excluded from the minimum.
     """
     budget = (tree.budget or 0) if tree.kind == "SC" else math.inf
-    w = _min_paths(tree.root, budget).get((id(tree.root), budget))
+    below = _min_paths(tree.nodes, budget)
+    w = below[0] if below else None
     return int(w or 0) if tree.kind in ("plain", "SC") else Fraction(w or 0)
 
 
-def _min_paths(root: Optional[TreeNode], budget=math.inf) -> dict:
-    """Every subtree's minimum root-to-leaf path weight, keyed by (the id
-    of its root node, the straight edges left above it), from one pass
-    that takes each subtree after those below it.  A path with more
-    straight edges than the budget is unconstrained and left out; a
-    subtree none of whose paths is left maps to None."""
-    below: dict = {}
-
-    def children(item):
-        node, k = item
-        return [(e.child, k - (e.kind == "s")) for e in node.edges
-                if e.child is not None]
-
-    for node, k in reversed([*depth_first((root, budget), children)]
-                            if root is not None else []):
-        rests = [r for e in node.edges if (r := _remainder(e, below, k)) is not None]
-        below[id(node), k] = min(rests, default=None)
+def _min_paths(nodes: list, budget=math.inf) -> list:
+    """Each node's minimum path weight down to a leaf, by node index:
+    a forward loop gives each node the straight edges left above it, and
+    a backward loop takes each node after its children.  A path with more
+    straight edges than the budget is unconstrained and left out; a node
+    with no path left, or under such a path, has None."""
+    n = len(nodes)
+    left = [budget] + [None] * (n - 1)
+    for i, (_, edges) in enumerate(nodes):
+        k = left[i]
+        if k is not None:
+            for _, kind, _, c in edges:
+                if c is not None and (kind != "s" or k > 0):
+                    left[c] = k - (kind == "s")
+    below = [None] * n
+    for i in range(n - 1, -1, -1):
+        k = left[i]
+        if k is None:
+            continue
+        best = None
+        for _, kind, w, c in nodes[i][1]:
+            if kind == "s" and k == 0:
+                continue
+            if c is not None:
+                rest = below[c]
+                if rest is None:
+                    continue
+                w += rest
+            if best is None or w < best:
+                best = w
+        below[i] = best
     return below
-
-
-def _remainder(edge: TreeEdge, below: dict, k=math.inf) -> Optional[Fraction]:
-    """The edge's weight plus the minimum path weight below its child, with
-    k straight edges left above the edge; None when every path through the
-    edge is over budget."""
-    if edge.kind == "s":
-        if k == 0:
-            return None
-        k -= 1
-    if edge.child is None:
-        return edge.weight
-    rest = below[id(edge.child), k]
-    return None if rest is None else edge.weight + rest
 
 
 def min_leaf_recurrence(w: int, d: int) -> int:

@@ -336,11 +336,13 @@ def load_class(path) -> VerifierClass:
     """Read a class file, the JSON object that save_class writes.
 
     Every number in it must be a JSON integer and every row entry 0 or 1;
-    anything else raises SchemaError rather than being coerced.
+    anything else raises SchemaError rather than being coerced.  The
+    universe may come in any order.
     """
     try:
         with open(path) as f:
-            doc = json.load(f)
+            text = f.read()
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from None
     if type(doc) is not dict:
@@ -374,6 +376,10 @@ def load_class(path) -> VerifierClass:
             "[problem, [step, ...]] entries, all integers, each with a step")
     universe = list(map(PrefixInstance, problem_ids, map(tuple, steps)))
 
+    # bytes() below refuses every JSON value but an integer and true or
+    # false, which it reads as 1 and 0, so only a file that spells a
+    # boolean needs each row's types checked.
+    bools = "true" in text or "false" in text
     rows = [None] * n
     for v in verifiers_doc:
         if type(v) is not dict or "id" not in v or "rows" not in v:
@@ -384,10 +390,20 @@ def load_class(path) -> VerifierClass:
             raise SchemaError(f"{path}: verifier ids must be exactly 0..n-1")
         if type(row) is not list or len(row) != size:
             raise SchemaError(f"{path}: verifier {i} row length mismatch")
-        if not _all_ints(row) or not set(row) <= {0, 1}:
+        if bools and not _all_ints(row):
             raise SchemaError(f"{path}: non-binary row entry")
         rows[i] = row
-    masks = map(_column_mask, zip(*rows)) if n else [0] * size
+    # One byte per entry, verifier n-1's row first: column i, read down,
+    # is universe[i]'s yes-mask in binary.  bytes() raises TypeError on a
+    # value that is not an integer and ValueError on one past 0..255.
+    try:
+        table = b"".join(map(bytes, reversed(rows)))
+        if table.translate(None, b"\x00\x01"):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise SchemaError(f"{path}: non-binary row entry") from None
+    digits = table.translate(_DIGITS)
+    masks = [int(digits[i::size], 2) for i in range(size)] if n else [0] * size
 
     return VerifierClass.from_masks(
         [StepToken(i, str(s)) for i, s in enumerate(doc["sigma"])],

@@ -8,9 +8,15 @@ SCL node asks for each pair's children separately, and the walker
 rescans a node's moves from the first instance, solving each move's
 children, until one realizes the node's value.  The library must
 reproduce their values, memo tables, node counts and witness trees
-exactly.  ref_validate_fail_token is the fail-token check as it was
-before it read the class's (problem, steps) index: one walk per verifier
-over the head's prefixes.
+exactly.  The walkers build each tree recursively, appending its nodes
+in pre-order, so the library's flat trees must equal theirs list for
+list.  ref_validate_fail_token is the fail-token check as it was before
+it read the class's (problem, steps) index: one walk per verifier over
+the head's prefixes.  A missing prefix is refused by name there too.
+
+ref_load_class is families.load_class as it was before it read the
+truth table in whole-table passes: one set() check per row, and one
+yes-mask per column of zip(*rows).
 
 class_from_table builds a class from a per-instance column table
 {z: [h_0(z), h_1(z), ...]}, turning each column into a yes-mask; the
@@ -25,10 +31,12 @@ views of a class or a transcript that only tests read.
 ref_verify_shattered, ref_certified_value, ref_tree_json and
 ref_tree_dot are the witness walks as they were before every walk listed
 its nodes from one explicit stack: each recurses one frame per tree level
-(two for ref_tree_json), and the SC value is a separate depth search that
-counts edges instead of summing their weights.  ref_verify_shattered
-checks each node with the library's _check_node, so only the walk
-differs.
+(two for ref_tree_json) over the nested view that nested() builds from a
+flat tree, and the SC value is a separate depth search that counts edges
+instead of summing their weights.  ref_verify_shattered checks each node
+with the library's _check_node, and walks every node even below a
+failing path, as the library's walk does, so a malformed tree is refused
+whether or not it is shattered.
 
 ref_draw is a prover's exact draw as the compiled samplers must make it,
 with none of their machinery: the denominator and each cumulative bound
@@ -47,6 +55,7 @@ RejectAll's update never read a prediction, so it is its own reference.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -58,17 +67,17 @@ from cotverify.core import (
     FailTokenRequired,
     MalformedTree,
     NoWitness,
+    ParseError,
     PrefixInstance,
     Problem,
     SchemaError,
     StepToken,
-    UnknownInstance,
     VerifierClass,
     cot_instances,
     fault_at,
     is_fault,
 )
-from cotverify import dimensions
+from cotverify import dimensions, families
 from cotverify.cli import frac_str, instance_json, label_json
 from cotverify.dimensions import (
     KINDS,
@@ -215,19 +224,25 @@ def _build(kind, value, moves, state, budget=None):
     if value(state) == 0:
         raise NoWitness("dimension is 0")
 
+    nodes = []
+
     def build(state):
         v = value(state)
         if v == 0:
             return None
         for z, move_value, edges in moves(state):
             if move_value == v:
-                return TreeNode(z, tuple(
-                    TreeEdge(label, k, w, None if child is None else build(child))
+                i = len(nodes)
+                nodes.append(None)
+                nodes[i] = (z, tuple(
+                    (label, k, w, None if child is None else build(child))
                     for label, k, w, child in edges
                 ))
+                return i
         raise AssertionError("memoized value has no realizing move")
 
-    return MistakeTree(kind, build(state), budget)
+    build(state)
+    return MistakeTree(kind, nodes, budget)
 
 
 def _full_scan_moves(vclass, value, ws, wc, gamma_s, gamma_c):
@@ -311,17 +326,19 @@ def ref_validate_fail_token(vclass):
         raise FailTokenRequired("class declares no fail token")
     position = {z: i for i, z in enumerate(vclass.universe)}
 
-    def index_of(z):
+    def index_of(p, z):
         try:
-            return position[z]
+            return position[p]
         except KeyError:
-            raise UnknownInstance(f"instance not in universe: {z}") from None
+            raise FailTokenInvalid(
+                f"fail-token step at {z} follows a prefix missing from "
+                f"the universe: {p}") from None
 
-    def prefix_correct(h, z):
+    def prefix_correct(h, head, z):
         return all(
-            vclass.yes_masks[index_of(PrefixInstance(z.problem, z.steps[:i]))]
+            vclass.yes_masks[index_of(PrefixInstance(z.problem, head[:i]), z)]
             >> h & 1
-            for i in range(1, len(z.steps) + 1)
+            for i in range(1, len(head) + 1)
         )
 
     F = vclass.fail_token
@@ -330,12 +347,11 @@ def ref_validate_fail_token(vclass):
             continue
         head = z.steps[:-1]
         if head:
-            head_z = PrefixInstance(z.problem, head)
             correct_for_someone = any(
-                prefix_correct(h, head_z) for h in range(len(vclass)))
+                prefix_correct(h, head, z) for h in range(len(vclass)))
         else:
             correct_for_someone = True
-        if correct_for_someone and vclass.yes_masks[index_of(z)] != 0:
+        if correct_for_someone and vclass.yes_masks[position[z]] != 0:
             raise FailTokenInvalid(
                 f"some verifier accepts fail-token step after correct "
                 f"prefix at {z}"
@@ -361,6 +377,66 @@ def class_from_table(sigma, problems, L, table, fail_token=None):
              for z, column in table.items()]
     return VerifierClass.from_masks(sigma, problems, L, masks, sizes.pop(),
                                     fail_token)
+
+
+def ref_load_class(path):
+    """families.load_class before its whole-table passes."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from None
+    if type(doc) is not dict:
+        raise SchemaError(f"{path}: a class file holds one JSON object")
+    for key in ("sigma", "problems", "L", "universe", "verifiers"):
+        if key not in doc:
+            raise SchemaError(f"{path}: missing field {key!r}")
+    for key in ("sigma", "problems", "universe", "verifiers"):
+        if type(doc[key]) is not list:
+            raise SchemaError(f"{path}: {key!r} must be a list")
+    L, fail_token = doc["L"], doc.get("fail_token")
+    if type(L) is not int:
+        raise SchemaError(f"{path}: L must be an integer")
+    if fail_token is not None and type(fail_token) is not int:
+        raise SchemaError(f"{path}: fail_token must be an integer")
+    universe_doc, verifiers_doc = doc["universe"], doc["verifiers"]
+    n, size = len(verifiers_doc), len(universe_doc)
+    families._check_caps(n, size)
+
+    entries_ok = (size > 0 and set(map(type, universe_doc)) == {list}
+                  and set(map(len, universe_doc)) == {2})
+    if entries_ok:
+        problem_ids, steps = zip(*universe_doc)
+        entries_ok = (families._all_ints(problem_ids)
+                      and set(map(type, steps)) == {list}
+                      and min(map(len, steps)) > 0
+                      and families._all_ints(itertools.chain.from_iterable(steps)))
+    if not entries_ok:
+        raise SchemaError(
+            f"{path}: the universe must be a nonempty list of "
+            "[problem, [step, ...]] entries, all integers, each with a step")
+    universe = list(map(PrefixInstance, problem_ids, map(tuple, steps)))
+
+    rows = [None] * n
+    for v in verifiers_doc:
+        if type(v) is not dict or "id" not in v or "rows" not in v:
+            raise SchemaError(
+                f'{path}: a verifier must be an object {{"id": ..., "rows": [...]}}')
+        i, row = v["id"], v["rows"]
+        if type(i) is not int or not 0 <= i < n or rows[i] is not None:
+            raise SchemaError(f"{path}: verifier ids must be exactly 0..n-1")
+        if type(row) is not list or len(row) != size:
+            raise SchemaError(f"{path}: verifier {i} row length mismatch")
+        if not families._all_ints(row) or not set(row) <= {0, 1}:
+            raise SchemaError(f"{path}: non-binary row entry")
+        rows[i] = row
+    masks = map(column_mask, zip(*rows)) if n else [0] * size
+
+    return VerifierClass.from_masks(
+        [StepToken(i, str(s)) for i, s in enumerate(doc["sigma"])],
+        [Problem(i, str(p)) for i, p in enumerate(doc["problems"])],
+        L, zip(universe, masks), n, fail_token,
+    )
 
 
 def _binary_sigma():
@@ -501,30 +577,45 @@ def totals_consistent(transcript, costs):
     return transcript.total_cost == expected
 
 
+def nested(tree):
+    """The flat tree as nested TreeNode and TreeEdge objects, built
+    recursively from node 0; None for a tree without nodes."""
+    def node(i):
+        z, edges = tree.nodes[i]
+        return TreeNode(z, tuple(
+            TreeEdge(label, k, w, None if c is None else node(c))
+            for label, k, w, c in edges))
+
+    return node(0) if tree.nodes else None
+
+
 def ref_verify_shattered(tree, vs):
     if tree.kind not in KINDS:
         raise MalformedTree(f"unknown tree kind: {tree.kind}")
-    if tree.root is None:
+    root = nested(tree)
+    if root is None:
         return True
 
     def walk(node, space):
         if node is None:
             return space.alive != 0
-        _check_node(node, tree.kind)
+        _check_node(node.instance, [(e.label, e.kind, e.weight, e.child)
+                                    for e in node.edges], tree.kind)
+        shattered = []  # every subtree is walked, for its checks
         for e in node.edges:
             if tree.kind == "SCL":
                 sub = space.restrict_cot(node.instance, e.label)
             else:
                 sub = space.restrict(node.instance, e.label)
-            if not walk(e.child, sub):
-                return False
-        return True
+            shattered.append(walk(e.child, sub))
+        return all(shattered)
 
-    return walk(tree.root, vs)
+    return walk(root, vs)
 
 
 def ref_certified_value(tree):
-    if tree.root is None:
+    root = nested(tree)
+    if root is None:
         return 0 if tree.kind in ("plain", "SC") else Fraction(0)
     if tree.kind == "SC":
         def depth(node, k):
@@ -542,14 +633,14 @@ def ref_certified_value(tree):
                     best = 1 + d
             return best
 
-        v = depth(tree.root, tree.budget if tree.budget is not None else 0)
+        v = depth(root, tree.budget if tree.budget is not None else 0)
         return 0 if v is None else v
 
     def weight(node):
         return min(e.weight + (0 if e.child is None else weight(e.child))
                    for e in node.edges)
 
-    w = weight(tree.root)
+    w = weight(root)
     return int(w) if tree.kind == "plain" else w
 
 
@@ -592,7 +683,7 @@ def ref_tree_dot(tree):
             )
         return idx
 
-    walk(tree.root)
+    walk(nested(tree))
     lines.append("}")
     return "\n".join(lines)
 

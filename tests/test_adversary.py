@@ -5,16 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+import reference as ref
 from cotverify import adversary, dimensions, families
 from cotverify.core import (
     CostVector,
+    CotVerifyError,
     LearnerNotSound,
     MalformedTree,
     TreeNotShattered,
     VersionSpace,
 )
-from cotverify.dimensions import MistakeTree, TreeEdge, TreeNode
+from cotverify.dimensions import MistakeTree
 from cotverify.learners import (
+    ConservativeWrapper,
     MajorityVote,
     RejectAll,
     ScSoa,
@@ -22,6 +25,7 @@ from cotverify.learners import (
     SoundConservative,
     WscSoa,
 )
+from cotverify.reductions import CotFromPrefix
 
 
 def test_tree_adversary_tight_vs_sc_soa():
@@ -73,8 +77,8 @@ def test_tree_adversary_forces_min_path_vs_any_learner():
 
 
 def _reference_play(tree, learner):
-    """The tree walk with a recursive minimum path recomputed per edge:
-    (instance, prediction, truth) per round."""
+    """The tree walk over the nested view with a recursive minimum path
+    recomputed per edge: (instance, prediction, truth) per round."""
 
     def min_path(node):
         if node is None:
@@ -82,7 +86,7 @@ def _reference_play(tree, learner):
         return min(e.weight + min_path(e.child) for e in node.edges)
 
     rounds = []
-    node = tree.root
+    node = ref.nested(tree)
     while node is not None:
         pred = learner.predict(node.instance)
         edge = max((e for e in node.edges if e.label != pred),
@@ -112,7 +116,7 @@ def test_tree_adversary_takes_the_first_costliest_edge(corpus, costs):
             reference = _reference_play(tree, make(vc))
             assert [(r.instance, r.prediction, r.truth)
                     for r in t.rounds] == reference
-            node = tree.root
+            node = ref.nested(tree)
             for _instance, pred, truth in reference:
                 edge = next(e for e in node.edges if e.label == truth)
                 choices += sum(e.label != pred for e in node.edges) > 1
@@ -171,11 +175,28 @@ def test_prop32_detects_unsound_learner():
 def test_malformed_tree_rejected():
     vc = families.indicator_class(3)
     z = vc.universe[0]
-    node = TreeNode(z, (
-        TreeEdge(True, "c", Fraction(1), None),
-        TreeEdge(True, "c", Fraction(1), None),
+    node = (z, (
+        (True, "c", Fraction(1), None),
+        (True, "c", Fraction(1), None),
     ))
     with pytest.raises(MalformedTree):
         dimensions.verify_shattered(
-            MistakeTree("plain", node), VersionSpace.full(vc)
+            MistakeTree("plain", [node]), VersionSpace.full(vc)
         )
+
+
+def test_tree_adversary_refuses_wrapped_learners():
+    """A ConservativeWrapper or a CotFromPrefix holds neither a version
+    space nor a class, so the tree adversary refuses it by name before
+    any round, with CotVerifyError rather than AttributeError."""
+    vc = families.singleton_bitstring_class(3)
+    vs = VersionSpace.full(vc)
+    sc_tree = dimensions.extract_witness(vs, "SC", k=1)
+    scl_tree = dimensions.extract_witness(
+        vs, "SCL", costs=CostVector(Fraction(1), Fraction(1), Fraction(0)))
+    for tree, learner in [(sc_tree, ConservativeWrapper(ScSoa(vc, 1))),
+                          (scl_tree, CotFromPrefix(ScSoa(vc, 1)))]:
+        with pytest.raises(CotVerifyError,
+                           match=f"{type(learner).__name__} holds neither") as err:
+            adversary.play_tree_adversary(tree, learner)
+        assert type(err.value) is CotVerifyError

@@ -65,10 +65,9 @@ def test_dim_witness_must_certify_the_value(class_files, capsys, monkeypatch):
 
     def cut(vs, k):
         tree = extract(vs, k)
-        edges = tuple(dataclasses.replace(e, child=None)
-                      for e in tree.root.edges)
-        return dataclasses.replace(
-            tree, root=dataclasses.replace(tree.root, edges=edges))
+        z, edges = tree.nodes[0]
+        return dataclasses.replace(tree, nodes=[
+            (z, tuple((label, kind, w, None) for label, kind, w, _ in edges))])
 
     monkeypatch.setattr(dimensions, "_extract_sc", cut)
     assert run_cli("dim", "--class", class_files["indicator4"],

@@ -18,6 +18,7 @@ from cotverify.core import (
     YES,
     CostVector,
     CotInstance,
+    FailTokenInvalid,
     InvalidCosts,
     MistakeKind,
     Oracle,
@@ -272,6 +273,21 @@ def test_validate_fail_token():
     validate_fail_token(vc)
     assert vc.fail_token == 2
     assert math.log2(len(vc)) == 2
+
+
+def test_validate_fail_token_names_a_missing_prefix():
+    """An L = 3 universe that holds (1, 0) but not (1,): the fail-token
+    step of (1, 0, F) follows a prefix that no verifier labels, so the
+    padded trace has no label.  The check refuses it with FailTokenInvalid
+    naming the missing prefix, not UnknownInstance."""
+    table = {PrefixInstance(0, steps): [True, False]
+             for steps in [(0,), (0, 0), (1, 0)]}
+    vc = families.with_fail_token(reference.class_from_table(
+        [StepToken(0, "0"), StepToken(1, "1")], [Problem(0, "x")], 3, table))
+    assert PrefixInstance(0, (1, 0, vc.fail_token)) in vc
+    assert PrefixInstance(0, (1,)) not in vc
+    with pytest.raises(FailTokenInvalid, match=r"missing .*steps=\(1,\)\)$"):
+        validate_fail_token(vc)
 
 
 @st.composite

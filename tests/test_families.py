@@ -4,7 +4,9 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import brute
 import reference as ref
 import scenario
 from cotverify import families
@@ -238,3 +240,101 @@ def test_product_class_combines_step_classes():
     assert len(vc) == 2
     assert vc.cot_label_of(0, CotInstance(0, (0, 1))) == ALL_CORRECT
     assert vc.cot_label_of(1, CotInstance(0, (0, 1))) == fault_at(1)
+
+
+def _shuffled_doc(vc, rng):
+    """vc's class file with the universe in a random order and the
+    verifiers under random ids, listed in a random order."""
+    order = list(range(len(vc.universe)))
+    rng.shuffle(order)
+    ids = list(range(len(vc)))
+    rng.shuffle(ids)
+    rows = vc.row_bits()
+    verifiers = [{"id": ids[h], "rows": [int(rows[h][j]) for j in order]}
+                 for h in range(len(vc))]
+    rng.shuffle(verifiers)
+    doc = {
+        "sigma": [t.name for t in vc.sigma],
+        "problems": [p.name for p in vc.problems],
+        "L": vc.L,
+        "universe": [[vc.universe[j].problem, list(vc.universe[j].steps)]
+                     for j in order],
+        "verifiers": verifiers,
+    }
+    if rng.random() < 0.3:
+        doc["fail_token"] = rng.randrange(len(vc.sigma))
+    return doc
+
+
+# Row entries that no class file may hold: integers other than 0 and 1,
+# and every other JSON value.
+_BAD_ENTRIES = [2, 255, 256, -1, 2**70, True, False, 1.0, "1", None, [0], {}]
+
+
+def _malformed(doc, rng, edit, bad):
+    """doc with one edit that no class file may hold."""
+    rows = [v["rows"] for v in doc["verifiers"]]
+    if edit == 0:  # a row entry other than the integers 0 and 1
+        row = rng.choice(rows)
+        row[rng.randrange(len(row))] = bad
+    elif edit == 1:  # a row one entry short
+        rng.choice(rows).pop()
+    elif edit == 2:  # one verifier id twice
+        a, b = rng.sample(doc["verifiers"], 2)
+        a["id"] = b["id"]
+    elif edit == 3:  # one universe instance twice
+        universe = doc["universe"]
+        i, j = rng.sample(range(len(universe)), 2)
+        universe[i] = json.loads(json.dumps(universe[j]))
+    elif edit == 4:  # a step token outside the alphabet
+        rng.choice(doc["universe"])[1][0] = len(doc["sigma"])
+    else:  # a prefix longer than L
+        doc["universe"][rng.randrange(len(doc["universe"]))][1] = [0] * (doc["L"] + 1)
+    return doc
+
+
+def _loaded(load, path):
+    try:
+        vc = load(path)
+    except SchemaError as e:
+        return SchemaError, type(e)
+    return (vc.sigma, vc.problems, vc.L, vc.fail_token, vc.n_verifiers,
+            vc.universe, vc.yes_masks, vc.index, vc.row_bits())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rng=st.randoms(use_true_random=False),
+       edit=st.none() | st.integers(0, 5), bad=st.sampled_from(_BAD_ENTRIES))
+def test_load_class_matches_the_reference_loader(tmp_path, rng, edit, bad):
+    """The whole-table loader and the row-by-row reference give the same
+    class from a file in any universe order under any verifier ids: the
+    same universe, yes-masks, index and rows.  A malformed edit makes
+    both refuse the file with SchemaError."""
+    vc = brute.random_class(rng)
+    doc = _shuffled_doc(vc, rng)
+    if edit is not None:
+        doc = _malformed(doc, rng, edit, bad)
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(doc))
+    new, old = _loaded(families.load_class, path), _loaded(ref.ref_load_class, path)
+    assert new == old
+    assert (new[0] is SchemaError) == (edit is not None)
+    if edit is None:
+        assert new[5] == vc.universe
+        assert sorted(new[8]) == sorted(vc.row_bits())
+
+
+@pytest.mark.parametrize("bad", _BAD_ENTRIES, ids=repr)
+def test_load_class_refuses_every_non_binary_row_entry(tmp_path, bad):
+    """Each bad row entry is refused by both loaders, whether or not the
+    file spells a boolean elsewhere (in a name here)."""
+    for names in (["0", "1"], ["true", "false"]):
+        doc = {"sigma": names, "problems": ["x"], "L": 1,
+               "universe": [[0, [0]], [0, [1]]],
+               "verifiers": [{"id": 0, "rows": [1, 0]}, {"id": 1, "rows": [0, bad]}]}
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps(doc))
+        for load in (families.load_class, ref.ref_load_class):
+            with pytest.raises(SchemaError, match="non-binary row entry"):
+                load(path)

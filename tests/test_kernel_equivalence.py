@@ -139,7 +139,7 @@ def test_walkers_take_a_repeated_masks_first_instance():
     assert dimensions.ldim_value(vs) == 1
     plain = dimensions.extract_witness(vs, "plain")
     assert plain == ref.ref_extract_weighted(vs, "plain", 1, 1, ONE, ONE)
-    assert plain.root.instance is vc.universe[0]
+    assert plain.nodes[0][0] is vc.universe[0]
     for k in (0, 1):
         assert dimensions.extract_witness(vs, "SC", k=k) == (
             ref.ref_extract_sc(vs, k, ONE))
