@@ -247,6 +247,14 @@ def _add_cost_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-l", type=parse_frac, default=None)
 
 
+def _revealed_edges(count: int) -> list:
+    """The river graph's first count edges; a count past either end is refused."""
+    edges = families.river_edges()
+    if not 0 <= count <= len(edges):
+        raise CotVerifyError(f"--revealed must be in 0..{len(edges)}, got {count}")
+    return edges[:count]
+
+
 def cmd_families(args) -> int:
     if args.family == "singleton":
         vc = families.singleton_bitstring_class(args.L)
@@ -257,8 +265,7 @@ def cmd_families(args) -> int:
     elif args.family == "complement":
         vc = families.complement_class(args.n, args.L)
     elif args.family == "river":
-        revealed = families.river_edges()[: args.revealed]
-        vc = families.river_crossing_class(revealed, args.L)
+        vc = families.river_crossing_class(_revealed_edges(args.revealed), args.L)
     else:
         raise CotVerifyError(f"unknown family: {args.family}")
     if args.fail_token:
@@ -281,14 +288,10 @@ def cmd_dim(args) -> int:
     vc = families.load_class(args.class_file)
     vs = VersionSpace.full(vc)
     costs = _costs(args)
-    if args.kind == "ldim":
-        res = dimensions.ldim(vs, witness=args.witness)
-    elif args.kind == "sc":
-        res = dimensions.sc_ldim(vs, args.k, witness=args.witness)
-    elif args.kind == "wsc":
-        res = dimensions.wsc_ldim(vs, costs, witness=args.witness)
-    else:
-        res = dimensions.scl_ldim(vs, costs, witness=args.witness)
+    query, *game = {"ldim": (dimensions.ldim,), "sc": (dimensions.sc_ldim, args.k),
+                    "wsc": (dimensions.wsc_ldim, costs),
+                    "scl": (dimensions.scl_ldim, costs)}[args.kind]
+    res = query(vs, *game, witness=args.witness)
     report = {
         "kind": args.kind,
         "value": frac_str(res.value),
@@ -313,9 +316,7 @@ def _make_learner(name: str, vc, args):
     if name == "reject-all":
         return learners.RejectAll(vc)
     if name == "river":
-        return learners.RiverCrossingSound(
-            vc, families.river_edges()[: args.revealed]
-        )
+        return learners.RiverCrossingSound(vc, _revealed_edges(args.revealed))
     if name == "sc-soa":
         return learners.ScSoa(vc, args.k)
     if name == "wsc-soa":

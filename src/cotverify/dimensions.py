@@ -2,19 +2,23 @@
 
 Four memoized minimax games over bitmask version spaces:
 
-- ldim: classic mistake-tree depth.
-- sc_ldim: depth with a budget k of "straight" (reject-side) edges; a
-  straight branch burns budget, a curvy (accept-side) branch keeps it.
-- wsc_ldim: weighted variant, straight edges cost gamma_s and curvy
+- plain (ldim): classic mistake-tree depth.
+- SC (sc_ldim): depth with a budget k of "straight" (reject-side) edges;
+  a straight branch burns budget, a curvy (accept-side) branch keeps it.
+- WSC (wsc_ldim): weighted variant, straight edges cost gamma_s and curvy
   edges gamma_c; value is the guaranteed cumulative weight.
-- scl_ldim: sequence-level game over full traces where the adversary
-  commits either to two distinct fault locations (two l-edges) or to one
-  fault location plus the all-correct answer (s-edge + c-edge).
+- SCL (scl_ldim): sequence-level game over full traces where the
+  adversary commits either to two distinct fault locations (two l-edges)
+  or to one fault location plus the all-correct answer (s-edge + c-edge).
 
-All values are exact: integers for ldim/sc_ldim, rationals for the
-weighted games.  Rational costs are scaled to integers before hitting
-the kernels and scaled back on the way out.  A witness mistake tree can
-be extracted for any positive value and independently re-verified.
+Each game is described in one place, _game: it checks the game (SC needs
+a budget k >= 0, WSC and SCL a cost vector, ordered for SCL), scales its
+rational costs to integers, and pairs them with the class's engine for
+those weights, once per class and game.  Every value, DimResult, witness
+and optimal learner starts there.  All values are exact: integers for the
+plain and SC games, rationals for the weighted ones.  A witness mistake
+tree can be extracted for any positive value and independently
+re-verified.
 
 A MistakeTree is one flat list of nodes, each edge naming its child by
 index, so every walk is a plain loop forward from the root or backward
@@ -24,12 +28,11 @@ search.
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import kernels
 from .core import (
@@ -99,9 +102,9 @@ class DimResult:
     stats: dict
 
 
-# Per-class cache of engines (and SCL label partitions) so repeated
-# queries, and the optimal learners that keep their engine's value, share
-# one memo table.
+# Per-class cache of game descriptions, engines and the moves they scan, so
+# repeated queries, and the optimal learners that keep their engine's
+# value, share one memo table.
 _class_caches: "weakref.WeakKeyDictionary[VerifierClass, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -134,30 +137,6 @@ def _distinct_masks(vclass: VerifierClass) -> dict[int, PrefixInstance]:
                    lambda: _first_of(zip(vclass.universe, vclass.yes_masks)))
 
 
-def _ldim_engine(vclass: VerifierClass):
-    return _cached(vclass, "ldim",
-                   lambda: kernels.ldim_engine(list(_distinct_masks(vclass))))
-
-
-def _sc_engine(vclass: VerifierClass):
-    return _cached(vclass, "sc",
-                   lambda: kernels.sc_engine(list(_distinct_masks(vclass))))
-
-
-@functools.lru_cache(maxsize=256)
-def integer_costs(*costs: Fraction) -> tuple[int, ...]:
-    """The costs as integers over their least common denominator, followed
-    by that denominator.  Cached per cost tuple: every weighted value
-    query asks for it."""
-    scale = math.lcm(*(c.denominator for c in costs))
-    return (*(int(c * scale) for c in costs), scale)
-
-
-def _wsc_engine(vclass: VerifierClass, ws: int, wc: int):
-    return _cached(vclass, ("wsc", ws, wc),
-                   lambda: kernels.wsc_engine(list(_distinct_masks(vclass)), ws, wc))
-
-
 def _scl_label_masks(vclass: VerifierClass) -> dict[tuple, CotInstance]:
     """The distinct label partitions of the full traces in cot_instances
     order, each mapped to the first trace that has it.  Traces with one
@@ -167,90 +146,157 @@ def _scl_label_masks(vclass: VerifierClass) -> dict[tuple, CotInstance]:
         (z, vclass.cot_partition(z)) for z in cot_instances(vclass)))
 
 
-def _scl_engine(vclass: VerifierClass, ws: int, wc: int, wl: int):
-    return _cached(vclass, ("scl", ws, wc, wl),
-                   lambda: kernels.scl_engine(_scl_label_masks(vclass), ws, wc, wl))
+def integer_costs(*costs: Fraction) -> tuple[int, ...]:
+    """The costs as integers over their least common denominator, followed
+    by that denominator."""
+    scale = math.lcm(*(c.denominator for c in costs))
+    return (*(int(c * scale) for c in costs), scale)
 
 
-def _query(engine, value, *args) -> tuple:
-    """value(*args) and the engine work it alone did."""
-    nodes0, hits0 = engine.stats()
-    v = value(*args)
-    nodes, hits = engine.stats()
-    return v, {
-        "nodes_expanded": nodes - nodes0,
-        "memo_hits": hits - hits0,
-        "backend": kernels.BACKEND,
-    }
+class _Game(NamedTuple):
+    """One game on one class, as _game describes it."""
+
+    kind: str  # one of KINDS
+    engine: kernels.Engine
+    weights: tuple  # the integer edge costs: ws, wc and, for SCL, wl
+    scale: int  # their common denominator: each cost is weight / scale
+    root: Optional[int]  # the root's budget: k for SC, None for SCL
+    costs: tuple  # the edge costs: gamma_s, gamma_c and, for SCL, gamma_l
+
+    def value(self, alive: int) -> Union[int, Fraction]:
+        """The exact value of the version space alive: an integer in the
+        plain and SC games, a rational in the weighted ones."""
+        eng = self.engine
+        raw = eng.value(alive) if self.root is None else eng.value(alive, self.root)
+        return raw if self.kind in ("plain", "SC") else Fraction(raw, self.scale)
 
 
-# Raw value helpers for one version space; the learners read their engine.
+def _game(vclass: VerifierClass, kind: str, k: Optional[int] = None,
+          costs: Optional[CostVector] = None) -> _Game:
+    """The one place where a query becomes a game, once per class and game.
+
+    Checks the game (SC needs a budget k >= 0, WSC and SCL a cost vector,
+    ordered for SCL), scales its costs to integers, and pairs them with the
+    class's engine for those weights, made by the kind's kernels factory.
+    Every value, DimResult, witness and optimal learner starts here, so a
+    refused game never touches an engine.
+    """
+    cache = _class_caches.setdefault(vclass, {})
+    game = cache.get((kind, k, costs))
+    if game is not None:
+        return game
+    weighted = kind in ("WSC", "SCL")
+    if kind not in KINDS:
+        raise ValueError(f"unknown tree kind: {kind}")
+    if kind == "SC" and k is None:
+        raise ValueError("the SC game needs a budget k")
+    if kind == "SC" and k < 0:
+        raise ValueError("budget k must be >= 0")
+    if weighted and costs is None:
+        raise ValueError(f"the {kind} game needs a cost vector")
+    gammas = (costs.gamma_s, costs.gamma_c) if weighted else (Fraction(1),) * 2
+    if kind == "SCL":
+        costs.require_ordered()
+        gammas += (costs.gamma_l,)
+    *weights, scale = integer_costs(*gammas)
+    # Plain and SC engines take no weights; plain's is not WSC's at 1/1.
+    name = "ldim" if kind == "plain" else kind.lower()
+    args = tuple(weights) if weighted else ()
+    moves = _scl_label_masks if kind == "SCL" else _distinct_masks
+    engine = _cached(vclass, (name, args), lambda: getattr(
+        kernels, f"{name}_engine")(moves(vclass), *args))
+    root = None if kind == "SCL" else k if kind == "SC" else kernels.FREE_BUDGET
+    cache[kind, k, costs] = game = _Game(kind, engine, tuple(weights), scale,
+                                         root, gammas)
+    return game
+
+
+# One entry point per game and layer, as the package exports them and the
+# benchmark's tracer times them: a query calls its game's value and extractor.
 
 def ldim_value(vs: VersionSpace) -> int:
-    return _ldim_engine(vs.vclass).value(vs.alive)
+    return _game(vs.vclass, "plain").value(vs.alive)
 
 
 def sc_value(vs: VersionSpace, k: int) -> int:
-    if k < 0:
-        raise ValueError("budget k must be >= 0")
-    return _sc_engine(vs.vclass).value(vs.alive, k)
+    return _game(vs.vclass, "SC", k).value(vs.alive)
 
 
 def wsc_value(vs: VersionSpace, costs: CostVector) -> Fraction:
-    ws, wc, scale = integer_costs(costs.gamma_s, costs.gamma_c)
-    raw = _wsc_engine(vs.vclass, ws, wc).value(vs.alive)
-    return Fraction(raw, scale)
+    return _game(vs.vclass, "WSC", costs=costs).value(vs.alive)
 
 
 def scl_value(vs: VersionSpace, costs: CostVector) -> Fraction:
-    costs.require_ordered()
-    ws, wc, wl, scale = integer_costs(costs.gamma_s, costs.gamma_c, costs.gamma_l)
-    raw = _scl_engine(vs.vclass, ws, wc, wl).value(vs.alive)
-    return Fraction(raw, scale)
+    return _game(vs.vclass, "SCL", costs=costs).value(vs.alive)
 
-
-# DimResult.stats counts the value search of this query only: not earlier
-# queries on the same class, and not the witness extraction.
 
 def ldim(vs: VersionSpace, witness: bool = True) -> DimResult:
-    value, stats = _query(_ldim_engine(vs.vclass), ldim_value, vs)
-    tree = _extract_plain(vs) if witness and value > 0 else None
-    return DimResult(value, tree, stats)
+    return _dim(vs, witness, "plain", ldim_value, _extract_plain)
 
 
 def sc_ldim(vs: VersionSpace, k: int, witness: bool = True) -> DimResult:
-    value, stats = _query(_sc_engine(vs.vclass), sc_value, vs, k)
-    tree = _extract_sc(vs, k) if witness and value > 0 else None
-    return DimResult(value, tree, stats)
+    return _dim(vs, witness, "SC", sc_value, _extract_sc, k=k)
 
 
 def wsc_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimResult:
-    ws, wc, _ = integer_costs(costs.gamma_s, costs.gamma_c)
-    value, stats = _query(_wsc_engine(vs.vclass, ws, wc), wsc_value, vs, costs)
-    tree = _extract_wsc(vs, costs) if witness and value > 0 else None
-    return DimResult(value, tree, stats)
+    return _dim(vs, witness, "WSC", wsc_value, _extract_wsc, costs=costs)
 
 
 def scl_ldim(vs: VersionSpace, costs: CostVector, witness: bool = True) -> DimResult:
-    ws, wc, wl, _ = integer_costs(costs.gamma_s, costs.gamma_c, costs.gamma_l)
-    value, stats = _query(_scl_engine(vs.vclass, ws, wc, wl), scl_value, vs, costs)
-    tree = _extract_scl(vs, costs) if witness and value > 0 else None
-    return DimResult(value, tree, stats)
+    return _dim(vs, witness, "SCL", scl_value, _extract_scl, costs=costs)
 
 
-# Witness extraction follows the realizing move each engine recorded beside
-# a memo entry, so the minimal path of the returned tree meets the
-# dimension with equality and no child is solved again.  Each game turns a
-# recorded move into a node once, as expand(state, move) giving the
-# node's instance and its edges, each (label, kind, weight, child state);
-# a child state of None is a bare leaf, as is a state whose value is 0.
+def _extract_plain(vs: VersionSpace) -> MistakeTree:
+    return extract_witness(vs, "plain")
 
-def _extract(kind: str, eng, state, solve, expand, budget=None) -> MistakeTree:
-    moves = eng.moves
+
+def _extract_sc(vs: VersionSpace, k: int) -> MistakeTree:
+    return extract_witness(vs, "SC", k)
+
+
+def _extract_wsc(vs: VersionSpace, costs: CostVector) -> MistakeTree:
+    return extract_witness(vs, "WSC", costs=costs)
+
+
+def _extract_scl(vs: VersionSpace, costs: CostVector) -> MistakeTree:
+    return extract_witness(vs, "SCL", costs=costs)
+
+
+def _dim(vs: VersionSpace, witness: bool, kind: str, value, extract,
+         **game) -> DimResult:
+    """value(vs, **game), with the witness extract(vs, **game) if asked and
+    the value is positive.  The stats count the engine work of this value
+    search alone, not earlier queries on the class nor the extraction."""
+    engine = _game(vs.vclass, kind, **game).engine
+    nodes0, hits0 = engine.stats()
+    v = value(vs, **game)
+    nodes, hits = engine.stats()
+    tree = extract(vs, **game) if witness and v > 0 else None
+    return DimResult(v, tree, {"nodes_expanded": nodes - nodes0,
+                               "memo_hits": hits - hits0,
+                               "backend": kernels.BACKEND})
+
+
+def extract_witness(vs: VersionSpace, kind: str, k: Optional[int] = None,
+                    costs: Optional[CostVector] = None) -> MistakeTree:
+    """Mistake tree certifying the dimension of the given kind.
+
+    Follows the realizing move the engine recorded beside each memo
+    entry, so the minimal path of the returned tree meets the dimension
+    with equality and no child is solved again.  The game's expander
+    turns a state and its move into the node's instance and its edges,
+    each (label, kind, weight, child state); a child state of None is a
+    bare leaf, as is a state whose value is 0.  Raises NoWitness when the
+    dimension is 0.
+    """
+    game = _game(vs.vclass, kind, k, costs)
+    moves = game.engine.moves
+    state = vs.alive if game.root is None else (vs.alive, game.root)
     if state not in moves:
-        solve()  # a cold root, which no query has solved yet
+        game.value(vs.alive)  # a cold root, which no query has solved yet
     if moves.get(state) is None:
         raise NoWitness("dimension is 0")
+    expand = (_scl_expander if kind == "SCL" else _prefix_expander)(vs.vclass, game)
     # Expand in pre-order from one stack, then name each child by its node
     # index: sibling version spaces are disjoint, so no state repeats in a
     # witness.  A child that no node expanded is a bare leaf.
@@ -264,17 +310,17 @@ def _extract(kind: str, eng, state, solve, expand, budget=None) -> MistakeTree:
         stack.extend([e[3] for e in reversed(edges) if moves.get(e[3]) is not None])
     index = at.get
     return MistakeTree(kind, [
-        (z, tuple([(label, k, w, index(child)) for label, k, w, child in edges]))
-        for z, edges in expanded], budget)
+        (z, tuple([(label, e, w, index(child)) for label, e, w, child in edges]))
+        for z, edges in expanded], game.root if kind == "SC" else None)
 
 
-def _extract_prefix(kind: str, vs: VersionSpace, eng, gamma_s: Fraction,
-                    gamma_c: Fraction, k: Optional[int] = None) -> MistakeTree:
-    """The prefix game's tree: a curvy YES edge and a straight NO edge over
-    (alive, budget) states.  SC's straight edge spends one of its budget
-    k; the plain and WSC games pass no k and never spend."""
-    first = _distinct_masks(vs.vclass)
-    spend, root = (0, kernels.FREE_BUDGET) if k is None else (1, k)
+def _prefix_expander(vclass: VerifierClass, game: _Game):
+    """The prefix games' nodes: a curvy YES edge and a straight NO edge
+    over (alive, budget) states.  SC's straight edge spends one of its
+    budget; the plain and WSC games never spend."""
+    first = _distinct_masks(vclass)
+    spend = int(game.kind == "SC")
+    gamma_s, gamma_c = game.costs
 
     def expand(state, m):
         alive, budget = state
@@ -285,40 +331,21 @@ def _extract_prefix(kind: str, vs: VersionSpace, eng, gamma_s: Fraction,
         return first[m], ((True, "c", gamma_c, (y, budget)),
                           (False, "s", gamma_s, straight))
 
-    return _extract(kind, eng, (vs.alive, root), lambda: eng.value(vs.alive, root),
-                    expand, budget=k)
+    return expand
 
 
-def _extract_plain(vs: VersionSpace) -> MistakeTree:
-    one = Fraction(1)
-    return _extract_prefix("plain", vs, _ldim_engine(vs.vclass), one, one)
-
-
-def _extract_wsc(vs: VersionSpace, costs: CostVector) -> MistakeTree:
-    ws, wc, _ = integer_costs(costs.gamma_s, costs.gamma_c)
-    return _extract_prefix("WSC", vs, _wsc_engine(vs.vclass, ws, wc),
-                           costs.gamma_s, costs.gamma_c)
-
-
-def _extract_sc(vs: VersionSpace, k: int) -> MistakeTree:
-    if k < 0:
-        raise ValueError("budget k must be >= 0")
-    one = Fraction(1)
-    return _extract_prefix("SC", vs, _sc_engine(vs.vclass), one, one, k)
-
-
-def _extract_scl(vs: VersionSpace, costs: CostVector) -> MistakeTree:
-    costs.require_ordered()
-    ws, wc, wl, _ = integer_costs(costs.gamma_s, costs.gamma_c, costs.gamma_l)
-    eng = _scl_engine(vs.vclass, ws, wc, wl)
-    memo = eng.memo
-    first = _scl_label_masks(vs.vclass)
+def _scl_expander(vclass: VerifierClass, game: _Game):
+    """The SCL game's nodes: the recorded partition's first move, s/c
+    before l/l as the search weighs them, whose children's values realize
+    the node."""
+    memo = game.engine.memo
+    first = _scl_label_masks(vclass)
+    ws, wc, wl = game.weights
+    gamma_s, gamma_c, gamma_l = game.costs
 
     def value(alive):
         return memo[alive] if alive & (alive - 1) else 0
 
-    # The recorded trace's first move, s/c before l/l as the search
-    # weighs them, whose children's values realize the node.
     def expand(alive, parts):
         v = memo[alive]
         groups = [(label, m & alive) for label, m in parts if m & alive]
@@ -328,42 +355,15 @@ def _extract_scl(vs: VersionSpace, costs: CostVector) -> MistakeTree:
             for label, sub in faults:
                 if min(ws + value(sub), wc + value(correct)) == v:
                     return first[parts], (
-                        (label, "s", costs.gamma_s, sub),
-                        (ALL_CORRECT, "c", costs.gamma_c, correct))
+                        (label, "s", gamma_s, sub),
+                        (ALL_CORRECT, "c", gamma_c, correct))
         for i, (la, a) in enumerate(faults):
             for lb, b in faults[i + 1:]:
                 if wl + min(value(a), value(b)) == v:
                     return first[parts], (
-                        (la, "l", costs.gamma_l, a), (lb, "l", costs.gamma_l, b))
+                        (la, "l", gamma_l, a), (lb, "l", gamma_l, b))
 
-    return _extract("SCL", eng, vs.alive, lambda: eng.value(vs.alive), expand)
-
-
-def extract_witness(
-    vs: VersionSpace,
-    kind: str,
-    k: Optional[int] = None,
-    costs: Optional[CostVector] = None,
-) -> MistakeTree:
-    """Mistake tree certifying the dimension of the given kind.
-
-    Raises NoWitness when the dimension is 0.
-    """
-    if kind == "plain":
-        return _extract_plain(vs)
-    if kind == "SC":
-        if k is None:
-            raise ValueError("SC witness needs a budget k")
-        return _extract_sc(vs, k)
-    if kind == "WSC":
-        if costs is None:
-            raise ValueError("WSC witness needs a cost vector")
-        return _extract_wsc(vs, costs)
-    if kind == "SCL":
-        if costs is None:
-            raise ValueError("SCL witness needs a cost vector")
-        return _extract_scl(vs, costs)
-    raise ValueError(f"unknown tree kind: {kind}")
+    return expand
 
 
 def _check_node(z, edges, kind: str) -> None:

@@ -193,11 +193,9 @@ class ScSoa(_SpaceLearner):
     mistake_mode = "prefix-level"
 
     def __init__(self, vclass: VerifierClass, k: int, costs: CostVector = _UNIT_COSTS):
-        if k < 0:
-            raise ValueError("budget k must be >= 0")
+        self._value = dimensions._game(vclass, "SC", k).engine.value
         super().__init__(vclass, costs)
         self.k = k
-        self._value = dimensions._sc_engine(vclass).value
 
     def predict(self, z: PrefixInstance) -> PrefixLabel:
         alive, k = self.vs.alive, self.k
@@ -228,9 +226,10 @@ class WscSoa(_SpaceLearner):
     mistake_mode = "prefix-level"
 
     def __init__(self, vclass: VerifierClass, costs: CostVector = _UNIT_COSTS):
+        game = dimensions._game(vclass, "WSC", costs=costs)
         super().__init__(vclass, costs)
-        self._ws, self._wc, _ = dimensions.integer_costs(costs.gamma_s, costs.gamma_c)
-        self._value = dimensions._wsc_engine(vclass, self._ws, self._wc).value
+        self._ws, self._wc = game.weights
+        self._value = game.engine.value
 
     def predict(self, z: PrefixInstance) -> PrefixLabel:
         alive = self.vs.alive
@@ -273,11 +272,10 @@ class SclSoa(_SpaceLearner):
     mistake_mode = "sequence-level"
 
     def __init__(self, vclass: VerifierClass, costs: CostVector):
-        costs.require_ordered()
+        game = dimensions._game(vclass, "SCL", costs=costs)
         super().__init__(vclass, costs)
-        self._weights = dimensions.integer_costs(
-            costs.gamma_s, costs.gamma_c, costs.gamma_l)[:3]
-        self._value = dimensions._scl_engine(vclass, *self._weights).value
+        self._weights = game.weights
+        self._value = game.engine.value
 
     def predict(self, z: CotInstance) -> Label:
         alive = self.vs.alive

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference
 import scenario
-from cotverify import cli, dimensions, families
+from cotverify import cli, dimensions, families, kernels
 from cotverify.core import (
     PrefixInstance, Problem, StepToken, VerifierClass, cot_instances)
 
@@ -75,6 +75,41 @@ def test_dim_witness_must_certify_the_value(class_files, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert report["value"] == "3/1"
     assert report["witness_verified"] is False
+
+
+@pytest.mark.parametrize("kind,game,extra", [
+    ("ldim", "plain", []),
+    ("sc", "sc", ["--k", "1"]),
+    ("wsc", "wsc", ["--gamma-s", "3"]),
+    ("scl", "scl", ["--gamma-s", "3", "--gamma-c", "2", "--gamma-l", "1"]),
+])
+def test_dim_runs_each_traced_route_once(tmp_path, capsys, monkeypatch, kind,
+                                         game, extra):
+    """The benchmark's tracer times a `dim` op through the game's query,
+    value helper, witness extractor and engine factory.  A `dim --witness`
+    on a fresh class must call each exactly once, or the benchmark's value
+    and witness metrics miscount without any test failing."""
+    path = str(tmp_path / "class.json")
+    assert run_cli("families", "--family", "singleton", "--L", "3",
+                   "--out", path) == 0
+    capsys.readouterr()
+    routes = [(dimensions, "ldim" if kind == "ldim" else f"{kind}_ldim"),
+              (dimensions, f"{kind}_value"), (dimensions, f"_extract_{game}"),
+              (kernels, f"{kind}_engine")]
+    calls = dict.fromkeys((name for _, name in routes), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in routes:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert run_cli("dim", "--class", path, "--kind", kind, *extra,
+                   "--witness") == 0
+    assert json.loads(capsys.readouterr().out)["witness_verified"] is True
+    assert calls == dict.fromkeys(calls, 1)
 
 
 def test_dim_kinds(class_files, capsys):
@@ -335,6 +370,32 @@ def fail_token_files(tmp_path_factory):
                 json.dump([[z.problem, list(z.steps)] for z in seq], f)
         files[name] = paths
     return files
+
+
+@pytest.mark.parametrize("count", ["-1", "21"])
+def test_revealed_count_outside_the_river_graph_is_refused(
+        fail_token_files, class_files, tmp_path, capsys, count):
+    """--revealed slices the river graph's 20 edges: a count outside 0..20
+    used to slice silently (-1 revealed 19 edges, 21 all 20)."""
+    refused = f"error: --revealed must be in 0..20, got {count}\n"
+    out = tmp_path / "river.json"
+    assert run_cli("families", "--family", "river", "--L", "4",
+                   "--revealed", count, "--out", str(out)) == cli.EXIT_INVALID
+    assert _one_error_line(capsys) == refused
+    assert not out.exists()
+    class_path, traces, _ = fail_token_files["river"]
+    assert run_cli("run", "--class", class_path, "--learner", "river",
+                   "--target", "0", "--sequence", traces,
+                   "--revealed", count) == cli.EXIT_INVALID
+    assert _one_error_line(capsys) == refused
+    assert run_cli("duel", "--class", class_files["singleton3"], "--learner",
+                   "river", "--adversary", "prop31",
+                   "--revealed", count) == cli.EXIT_INVALID
+    assert _one_error_line(capsys) == refused
+    for edge_count in ("16", "20"):
+        assert run_cli("families", "--family", "river", "--L", "4",
+                       "--revealed", edge_count, "--out", str(out)) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("flag", [None, "--via-prefix", "--via-cot"])

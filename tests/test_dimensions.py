@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute
-from cotverify import dimensions, families, kernels
-from cotverify.core import CostVector, NoWitness, VersionSpace, cot_instances
+from cotverify import dimensions, families, kernels, learners
+from cotverify.core import (
+    CostVector, InvalidCosts, NoWitness, VersionSpace, cot_instances)
 
 UNIT = CostVector(Fraction(1), Fraction(1), Fraction(0))
 
@@ -133,16 +134,52 @@ def test_sc_witness_at_zero_budget():
 
 
 def test_sc_witness_refuses_a_negative_budget():
-    """extract_witness refuses a negative SC budget with sc_value's error,
-    before the search leaves any memo entry."""
+    """Each game is checked once, where it is described: every way into a
+    refused game (value, query, witness, learner) raises the same error as
+    its siblings, before any engine of the class holds a memo entry."""
     vc = families.singleton_bitstring_class(3)
     vs = VersionSpace.full(vc)
-    for query in (lambda: dimensions.extract_witness(vs, "SC", k=-1),
-                  lambda: dimensions.sc_value(vs, -1),
-                  lambda: dimensions.sc_ldim(vs, -1)):
-        with pytest.raises(ValueError, match="budget k must be >= 0"):
-            query()
-    assert dimensions._sc_engine(vc).memo == {}
+    unordered = CostVector(Fraction(1), Fraction(2), Fraction(0))
+    refused = [
+        [lambda: dimensions.extract_witness(vs, "SC", k=-1),
+         lambda: dimensions.sc_value(vs, -1),
+         lambda: dimensions.sc_ldim(vs, -1),
+         lambda: learners.ScSoa(vc, -1)],
+        [lambda: dimensions.extract_witness(vs, "SCL", costs=unordered),
+         lambda: dimensions.scl_value(vs, unordered),
+         lambda: dimensions.scl_ldim(vs, unordered),
+         lambda: learners.SclSoa(vc, unordered)],
+        [lambda: dimensions.extract_witness(vs, "SC"),
+         lambda: dimensions.sc_value(vs, None),
+         lambda: dimensions.sc_ldim(vs, None),
+         lambda: learners.ScSoa(vc, None)],
+        [lambda: dimensions.extract_witness(vs, "WSC"),
+         lambda: dimensions.wsc_value(vs, None),
+         lambda: dimensions.wsc_ldim(vs, None),
+         lambda: learners.WscSoa(vc, None)],
+        [lambda: dimensions.extract_witness(vs, "SCL"),
+         lambda: dimensions.scl_value(vs, None),
+         lambda: dimensions.scl_ldim(vs, None),
+         lambda: learners.SclSoa(vc, None)],
+    ]
+    errors = []
+    for siblings in refused:
+        seen = set()
+        for query in siblings:
+            with pytest.raises((ValueError, InvalidCosts)) as e:
+                query()
+            seen.add((e.type, str(e.value)))
+        assert len(seen) == 1, seen
+        errors.append(seen.pop())
+    assert errors == [
+        (ValueError, "budget k must be >= 0"),
+        (InvalidCosts, "need gamma_s >= gamma_c >= gamma_l, got 1, 2, 0"),
+        (ValueError, "the SC game needs a budget k"),
+        (ValueError, "the WSC game needs a cost vector"),
+        (ValueError, "the SCL game needs a cost vector"),
+    ]
+    cached = dimensions._class_caches.get(vc, {}).values()
+    assert all(e.memo == {} for e in cached if isinstance(e, kernels.Engine))
 
 
 def test_dim_results_report_backend():
@@ -206,17 +243,18 @@ def test_memo_entries_are_exact_values():
         vs = VersionSpace.full(vc)
         for k in (0, 1, 2):
             dimensions.sc_value(vs, k)
-        for (alive, k), v in dimensions._sc_engine(vc).memo.items():
+        for (alive, k), v in dimensions._game(vc, "SC", 0).engine.memo.items():
             assert v == brute.bf_sc_ldim(vc, k, _ids(alive)), (trial, k)
         for ws, wc in ((1, 1), (3, 1), (2, 3), (0, 1)):
             costs = CostVector(Fraction(ws), Fraction(wc), Fraction(0))
             dimensions.wsc_value(vs, costs)
-            for (alive, k), v in dimensions._wsc_engine(vc, ws, wc).memo.items():
+            memo = dimensions._game(vc, "WSC", costs=costs).engine.memo
+            for (alive, k), v in memo.items():
                 assert k == kernels.FREE_BUDGET
                 assert v == brute.bf_wsc_ldim(vc, ws, wc, _ids(alive)), (
                     trial, ws, wc)
         dimensions.ldim_value(vs)
-        for (alive, k), v in dimensions._ldim_engine(vc).memo.items():
+        for (alive, k), v in dimensions._game(vc, "plain").engine.memo.items():
             assert k == kernels.FREE_BUDGET
             assert v == brute.bf_ldim(vc, _ids(alive)), trial
     for trial in range(12):
@@ -224,7 +262,8 @@ def test_memo_entries_are_exact_values():
         for ws, wc, wl in ((1, 1, 1), (3, 2, 1), (2, 1, 0)):
             costs = CostVector(Fraction(ws), Fraction(wc), Fraction(wl))
             dimensions.scl_value(VersionSpace.full(vc), costs)
-            for alive, v in dimensions._scl_engine(vc, ws, wc, wl).memo.items():
+            memo = dimensions._game(vc, "SCL", costs=costs).engine.memo
+            for alive, v in memo.items():
                 assert v == brute.bf_scl_ldim(vc, ws, wc, wl, _ids(alive)), (
                     trial, ws, wc, wl)
 

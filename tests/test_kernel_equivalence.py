@@ -80,16 +80,18 @@ def test_kernels_match_raw_list_references(seed, fail_token, wsc, scl):
     # a warm memo, as a learner's later rounds do.
     starts = [full.alive, rng.randrange(1, full.alive + 1)]
     masks = vc.yes_masks
+    costs = CostVector(Fraction(wsc[0]), Fraction(wsc[1]), Fraction(0))
+    scl_costs = CostVector(*map(Fraction, scl))
 
     memo, stats = {}, [0, 0]
-    eng = dimensions._ldim_engine(vc)
+    eng = dimensions._game(vc, "plain").engine
     for alive in starts:
         value = ref.ref_wsc(masks, alive, 1, 1, memo, stats)
         assert eng.value(alive) == value
         assert eng.memo == free_budget_keys(memo) and eng.stats() == tuple(stats)
 
     memo, stats = {}, [0, 0]
-    eng = dimensions._sc_engine(vc)
+    eng = dimensions._game(vc, "SC", 0).engine
     for alive in starts:
         for k in (0, 1, 2):
             value = ref.ref_sc(masks, alive, k, memo, stats)
@@ -98,7 +100,7 @@ def test_kernels_match_raw_list_references(seed, fail_token, wsc, scl):
 
     ws, wc = wsc
     memo, stats = {}, [0, 0]
-    eng = dimensions._wsc_engine(vc, ws, wc)
+    eng = dimensions._game(vc, "WSC", costs=costs).engine
     for alive in starts:
         value = ref.ref_wsc(masks, alive, ws, wc, memo, stats)
         assert eng.value(alive) == value
@@ -108,7 +110,7 @@ def test_kernels_match_raw_list_references(seed, fail_token, wsc, scl):
         ws, wc, wl = scl
         label_masks = ref.scl_label_masks(vc)
         memo, stats = {}, [0, 0]
-        eng = dimensions._scl_engine(vc, ws, wc, wl)
+        eng = dimensions._game(vc, "SCL", costs=scl_costs).engine
         for alive in starts:
             value = ref.ref_scl(label_masks, alive, ws, wc, wl, memo, stats)
             assert eng.value(alive) == value
@@ -116,8 +118,6 @@ def test_kernels_match_raw_list_references(seed, fail_token, wsc, scl):
             nodes, hits = eng.stats()
             assert nodes == stats[0] and hits <= stats[1]
 
-    costs = CostVector(Fraction(wsc[0]), Fraction(wsc[1]), Fraction(0))
-    scl_costs = CostVector(*map(Fraction, scl))
     for alive in starts:
         _check_trees(VersionSpace(vc, alive), rng.choice([0, 1, 2]),
                      costs, scl_costs)

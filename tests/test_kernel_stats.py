@@ -71,19 +71,20 @@ def test_dim_game_stats_are_pinned(name, kind, k, gammas, value, nodes, hits):
         value, nodes, hits)
 
 
-@pytest.mark.parametrize("kind", ["ldim", "sc"])
-def test_witness_extraction_runs_no_search(kind):
+@pytest.mark.parametrize("query,kind,game", [
+    (dimensions.ldim, "plain", {}),
+    (dimensions.sc_ldim, "SC", {"k": 1}),
+    (dimensions.wsc_ldim, "WSC",
+     {"costs": CostVector(Fraction(3), Fraction(1), Fraction(0))}),
+    (dimensions.scl_ldim, "SCL",
+     {"costs": CostVector(Fraction(3), Fraction(2), Fraction(1))}),
+], ids=["ldim", "sc", "wsc", "scl"])
+def test_witness_extraction_runs_no_search(query, kind, game):
     vs = VersionSpace.full(CLASSES["indicator10"]())
-    if kind == "ldim":
-        res = dimensions.ldim(vs, witness=False)
-        engine = dimensions._ldim_engine(vs.vclass)
-        extract = lambda: dimensions.extract_witness(vs, "plain")
-    else:
-        res = dimensions.sc_ldim(vs, 1, witness=False)
-        engine = dimensions._sc_engine(vs.vclass)
-        extract = lambda: dimensions.extract_witness(vs, "SC", k=1)
+    res = query(vs, witness=False, **game)
+    engine = dimensions._game(vs.vclass, kind, **game).engine
     before = engine.stats()
-    tree = extract()
+    tree = dimensions.extract_witness(vs, kind, **game)
     assert engine.stats() == before
     assert dimensions.certified_value(tree) == res.value
     assert dimensions.verify_shattered(tree, vs)
