@@ -310,15 +310,16 @@ def cmd_dim(args) -> int:
 def _make_learner(name: str, vc, args):
     costs = _costs(args)
     if name == "majority":
-        return learners.MajorityVote(vc)
+        return learners.MajorityVote(vc, costs)
     if name == "sound-conservative":
-        return learners.SoundConservative(vc)
+        return learners.SoundConservative(vc, costs)
     if name == "reject-all":
-        return learners.RejectAll(vc)
+        return learners.RejectAll(vc, costs)
     if name == "river":
-        return learners.RiverCrossingSound(vc, _revealed_edges(args.revealed))
+        return learners.RiverCrossingSound(
+            vc, _revealed_edges(args.revealed), costs)
     if name == "sc-soa":
-        return learners.ScSoa(vc, args.k)
+        return learners.ScSoa(vc, args.k, costs)
     if name == "wsc-soa":
         return learners.WscSoa(vc, costs)
     if name == "scl-soa":
@@ -430,7 +431,6 @@ def cmd_duel(args) -> int:
     vs = VersionSpace.full(vc)
     verdict = "bound-met"
     if args.adversary == "tree":
-        # ScSoa plays at unit costs, so its total cost counts its mistakes.
         kind, value, game = {
             "sc-soa": ("SC", dimensions.sc_value, {"k": args.k}),
             "wsc-soa": ("WSC", dimensions.wsc_value, {"costs": learner.costs}),
@@ -439,7 +439,9 @@ def cmd_duel(args) -> int:
         tree = dimensions.extract_witness(vs, kind, **game)
         bound = value(vs, **game)
         transcript = adversary.play_tree_adversary(tree, learner)
-        achieved = transcript.total_cost
+        # The SC dimension counts mistakes; WSC's and SCL's are costs.
+        achieved = (Fraction(transcript.total_mistakes) if kind == "SC"
+                    else transcript.total_cost)
         if achieved == bound:
             verdict = "tight"
         elif achieved > bound:

@@ -504,9 +504,9 @@ def min_leaf_recurrence(w: int, d: int) -> int:
 
 
 def max_weight_for_leaves(n_leaves: int, d: int) -> int:
-    """Largest w with min_leaf_recurrence(w, d) <= n_leaves."""
+    """Largest w with min_leaf_recurrence(w, d) <= n_leaves (prefix_bound)."""
     if n_leaves < 1:
         raise ValueError("need at least one leaf")
     if d < 1:
         raise ValueError("d must be >= 1")
-    return kernels.wsc_bound(n_leaves, d, 1)
+    return kernels.prefix_bound(d, 1, 0)(n_leaves, kernels.FREE_BUDGET)

@@ -16,14 +16,16 @@ and the plain game is WSC at unit weights.
 The prefix search is pruned by leaf-count bounds.  Every leaf of a
 shattered tree is consistent with a distinct verifier, so a version space
 of size s has value at most the largest value whose smallest tree has no
-more than s leaves (sc_bound, wsc_bound).  A node stops scanning once its
-best split meets its own bound, skips a split whose child bounds cannot
-beat its best, skips a projection it has already tried, and leaves the
-second child unsolved when the first one already caps the split at its
-best.  Every child that is solved is solved exactly, so each memo entry
-is the exact value of its state, never a bound.  The engines take the
-class's distinct yes-masks: a repeated mask always projects onto a split
-the node has already tried.
+more than s leaves: prefix_bound(ws, wc, spend), from the least leaf
+count N(v, k) = N(v - wc, k) + N(v - ws, k - spend) of a tree of value
+v on budget k, with N = 1 for v <= 0 or k < 0.  A node stops scanning
+once its best split meets its own bound, skips a split whose child
+bounds cannot beat its best, skips a projection it has already tried,
+and leaves the second child unsolved when the first one already caps the
+split at its best.  Every child that is solved is solved exactly, so each
+memo entry is the exact value of its state, never a bound.  The engines
+take the class's distinct yes-masks: a repeated mask always projects onto
+a split the node has already tried.
 
 The SCL game is not pruned.  Its engine takes the distinct label
 partitions of the class's traces, and a node hands its children only the
@@ -56,60 +58,53 @@ FREE_BUDGET = 1
 
 
 @functools.cache
-def sc_bound(size, k):
-    """Largest d with sum_{i <= k+1} C(d, i) <= size.
+def prefix_bound(ws, wc, spend):
+    """The bound(size, k) of the prefix game with edge weights ws and wc
+    whose straight edge spends spend of the budget: the largest path
+    weight v with N(v, k) <= size, where
 
-    The smallest budget-k tree of depth d has N_k(d) leaves, where
-    N_k(0) = 1, N_0(d) = d + 1 and N_k(d) = N_k(d-1) + N_{k-1}(d-1):
-    exactly that binomial sum.
-    """
+        N(v, k) = 1 for v <= 0 or k < 0,
+        N(v, k) = N(v - wc, k) + N(v - ws, k - spend) otherwise,
 
-    def leaves(d):
-        return sum(math.comb(d, i) for i in range(min(k + 1, d) + 1))
-
-    lo, hi = 0, size - 1  # N_k(d) >= d + 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if leaves(mid) <= size:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-# (ws, wc) -> [tree weights ascending, their least leaf counts, two cursors]
-_WSC_LEAVES: dict = {}
-
-
-@functools.cache
-def wsc_bound(size, ws, wc):
-    """Largest weight w with L(w) <= size, where L(w) = 1 for w <= 0 and
-    L(w) = L(w - ws) + L(w - wc): the least leaf count of a weight-w tree.
-
-    L only steps at the weights a tree path can have (sums of ws and wc),
-    so the table holds those weights and L at each.  With a zero cost L
-    never grows and there is no finite bound.
+    is the least leaf count of a tree of value v on budget k.  N only
+    steps at the weights a path can have (sums of ws and wc), so the
+    table holds those weights and, per budget, N at each.  A zero weight
+    is not tabulated: its bound is infinite and prunes nothing.
     """
     if ws == 0 or wc == 0:
-        return math.inf
-    table = _WSC_LEAVES.get((ws, wc))
-    if table is None:
-        table = _WSC_LEAVES[(ws, wc)] = [[0], [1], [0, 0]]
-    weights, leaves, cursor = table
+        return lambda size, k: math.inf
+    weights = [0]
+    cursor = [0, 0]
+    leaves = {}  # k -> [N(weights[0], k), N(weights[1], k), ...] so far
 
-    def leaves_at(w):
-        return 1 if w <= 0 else leaves[bisect_left(weights, w)]
+    def at(v, k):
+        if v <= 0 or k < 0:
+            return 1
+        i = bisect_left(weights, v)
+        row = leaves.setdefault(k, [1])
+        while len(row) <= i:
+            extend(row, k)
+        return row[i]
 
-    while leaves[-1] <= size:
-        last = weights[-1]
-        while weights[cursor[0]] + ws <= last:
-            cursor[0] += 1
-        while weights[cursor[1]] + wc <= last:
-            cursor[1] += 1
-        w = min(weights[cursor[0]] + ws, weights[cursor[1]] + wc)
-        weights.append(w)
-        leaves.append(leaves_at(w - ws) + leaves_at(w - wc))
-    return weights[bisect_right(leaves, size) - 1]
+    def extend(row, k):
+        if len(row) == len(weights):
+            last = weights[-1]
+            while weights[cursor[0]] + ws <= last:
+                cursor[0] += 1
+            while weights[cursor[1]] + wc <= last:
+                cursor[1] += 1
+            weights.append(min(weights[cursor[0]] + ws, weights[cursor[1]] + wc))
+        w = weights[len(row)]
+        row.append(at(w - wc, k) + at(w - ws, k - spend))
+
+    @functools.cache
+    def bound(size, k):
+        row = leaves.setdefault(k, [1])
+        while row[-1] <= size:
+            extend(row, k)
+        return weights[bisect_right(row, size) - 1]
+
+    return bound
 
 
 def prefix_ldim(yes_masks, ws, wc, spend, bound, memo, moves, stats, alive,
@@ -118,8 +113,9 @@ def prefix_ldim(yes_masks, ws, wc, spend, bound, memo, moves, stats, alive,
     ws and wc, whose straight edge spends spend of the budget k.
 
     bound(size, k) is the largest value a state of that size can have:
-    sc_bound for SC, wsc_bound for the plain and WSC games, whose states
-    all keep FREE_BUDGET.  With k == 0 the straight subtree is
+    prefix_bound(ws, wc, spend), from the least leaf count
+    N(v, k) = N(v - wc, k) + N(v - ws, k - spend).  The plain and WSC
+    states all keep FREE_BUDGET.  With k == 0 the straight subtree is
     unconstrained (any path through it already exceeds the budget), so
     only the curvy branch contributes, at most wc per verifier it drops.
     """
@@ -247,13 +243,12 @@ def ldim_engine(yes_masks):
 
 
 def sc_engine(yes_masks):
-    return Engine(prefix_ldim, list(yes_masks), 1, 1, 1, sc_bound)
+    return Engine(prefix_ldim, list(yes_masks), 1, 1, 1, prefix_bound(1, 1, 1))
 
 
 def wsc_engine(yes_masks, ws: int, wc: int):
-    # The budget never runs out, so the bound ignores it.
-    bound = functools.cache(lambda size, k: wsc_bound(size, ws, wc))
-    return Engine(prefix_ldim, list(yes_masks), ws, wc, 0, bound)
+    return Engine(prefix_ldim, list(yes_masks), ws, wc, 0,
+                  prefix_bound(ws, wc, 0))
 
 
 def scl_engine(label_masks, ws: int, wc: int, wl: int):

@@ -8,11 +8,14 @@ SCL node asks for each pair's children separately, and the walker
 rescans a node's moves from the first instance, solving each move's
 children, until one realizes the node's value.  The library must
 reproduce their values, memo tables, node counts and witness trees
-exactly.  The walkers build each tree recursively, appending its nodes
-in pre-order, so the library's flat trees must equal theirs list for
-list.  ref_validate_fail_token is the fail-token check as it was before
-it read the class's (problem, steps) index: one walk per verifier over
-the head's prefixes.  A missing prefix is refused by name there too.
+exactly.  ref_sc and ref_wsc prune with the two leaf-count bounds the
+library had before prefix_bound: sc_bound, the binomial closed form, and
+wsc_bound, a weight table per cost pair.  The walkers build each tree
+recursively, appending its nodes in pre-order, so the library's flat
+trees must equal theirs list for list.  ref_validate_fail_token is the
+fail-token check as it was before it read the class's (problem, steps)
+index: one walk per verifier over the head's prefixes.  A missing prefix
+is refused by name there too.
 
 ref_load_class is families.load_class as it was before it read the
 truth table in whole-table passes: one set() check per row, and one
@@ -54,9 +57,11 @@ helpers on restricted version spaces, as before they read their engine.
 RejectAll's update never read a prediction, so it is its own reference.
 """
 
+import functools
 import itertools
 import json
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from cotverify.core import (
@@ -98,7 +103,63 @@ from cotverify.learners import (
 )
 from cotverify.reductions import CotFromPrefix, PrefixFromCot
 from cotverify.families import RIVER_GOAL, RIVER_START, river_edges
-from cotverify.kernels import sc_bound, wsc_bound
+
+
+@functools.cache
+def sc_bound(size, k):
+    """Largest d with sum_{i <= k+1} C(d, i) <= size.
+
+    The smallest budget-k tree of depth d has N_k(d) leaves, where
+    N_k(0) = 1, N_0(d) = d + 1 and N_k(d) = N_k(d-1) + N_{k-1}(d-1):
+    exactly that binomial sum.
+    """
+
+    def leaves(d):
+        return sum(math.comb(d, i) for i in range(min(k + 1, d) + 1))
+
+    lo, hi = 0, size - 1  # N_k(d) >= d + 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if leaves(mid) <= size:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+# (ws, wc) -> [tree weights ascending, their least leaf counts, two cursors]
+_WSC_LEAVES: dict = {}
+
+
+@functools.cache
+def wsc_bound(size, ws, wc):
+    """Largest weight w with L(w) <= size, where L(w) = 1 for w <= 0 and
+    L(w) = L(w - ws) + L(w - wc): the least leaf count of a weight-w tree.
+
+    L only steps at the weights a tree path can have (sums of ws and wc),
+    so the table holds those weights and L at each.  With a zero cost L
+    never grows and there is no finite bound.
+    """
+    if ws == 0 or wc == 0:
+        return math.inf
+    table = _WSC_LEAVES.get((ws, wc))
+    if table is None:
+        table = _WSC_LEAVES[(ws, wc)] = [[0], [1], [0, 0]]
+    weights, leaves, cursor = table
+
+    def leaves_at(w):
+        return 1 if w <= 0 else leaves[bisect_left(weights, w)]
+
+    while leaves[-1] <= size:
+        last = weights[-1]
+        while weights[cursor[0]] + ws <= last:
+            cursor[0] += 1
+        while weights[cursor[1]] + wc <= last:
+            cursor[1] += 1
+        w = min(weights[cursor[0]] + ws, weights[cursor[1]] + wc)
+        weights.append(w)
+        leaves.append(leaves_at(w - ws) + leaves_at(w - wc))
+    return weights[bisect_right(leaves, size) - 1]
 
 
 def ref_sc(yes_masks, alive, k, memo, stats):

@@ -177,6 +177,38 @@ def test_duel_tree_tight(class_files, capsys):
     assert report["achieved"] == report["bound"]
 
 
+def test_cost_flags_price_every_learner(class_files, tmp_path, capsys):
+    singleton3 = class_files["singleton3"]
+    vc = families.load_class(singleton3)
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps([[z.problem, list(z.steps)] for z in vc.universe
+                               if len(z.steps) == vc.L]))
+
+    def run(*argv):
+        assert run_cli(*argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def total_cost(learner, target, *costs):
+        report = run("run", "--class", singleton3, "--learner", learner,
+                     "--target", str(target), "--sequence", str(seq), *costs)
+        return report["transcript"]["total_cost"]
+
+    # One completeness mistake, then one completeness and one location
+    # mistake.
+    assert total_cost("majority", 5) == "1/1"
+    assert total_cost("majority", 5, "--gamma-s", "5", "--gamma-c", "7") == "7/1"
+    assert total_cost("reject-all", 2, "--gamma-s", "5", "--gamma-c", "7",
+                      "--gamma-l", "1/2") == "15/2"
+    # The SC bound counts mistakes, whatever they cost: on complement4
+    # sc-soa's one mistake is a soundness mistake priced at 3.
+    for path, achieved, cost in ((singleton3, "3/1", "3/1"),
+                                 (class_files["complement4"], "1/1", "3/1")):
+        report = run("duel", "--class", path, "--learner", "sc-soa",
+                     "--adversary", "tree", "--k", "1", "--gamma-s", "3")
+        assert (report["verdict"], report["achieved"]) == ("tight", achieved)
+        assert report["transcript"]["total_cost"] == cost
+
+
 def test_duel_scl_soa_keeps_an_explicit_zero_gamma_l(class_files, capsys):
     """scl-soa's default gamma_l of 1 applies only when --gamma-l is absent:
     with an explicit 0, the tree duel's bound is the SCL dimension at 0."""

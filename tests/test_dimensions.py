@@ -288,24 +288,32 @@ def test_sc_bound_is_least_leaf_count_inverse():
             return d + 1
         return least_leaves(k, d - 1) + least_leaves(k - 1, d - 1)
 
+    sc_bound = kernels.prefix_bound(1, 1, 1)
     for k in range(4):
         for size in range(1, 70):
-            d = kernels.sc_bound(size, k)
+            d = sc_bound(size, k)
             assert least_leaves(k, d) <= size < least_leaves(k, d + 1)
+    assert (sc_bound(4096, 40), sc_bound(4096, 3)) == (12, 18)
 
 
 def test_wsc_bound_inverts_leaf_recurrence():
+    def wsc_bound(size, ws, wc):
+        return kernels.prefix_bound(ws, wc, 0)(size, kernels.FREE_BUDGET)
+
     for size in range(1, 70):
-        assert kernels.wsc_bound(size, 1, 1) == size.bit_length() - 1
+        assert wsc_bound(size, 1, 1) == size.bit_length() - 1
         for d in (2, 3, 5):
-            w = kernels.wsc_bound(size, d, 1)
+            w = wsc_bound(size, d, 1)
             assert dimensions.min_leaf_recurrence(w, d) <= size < (
                 dimensions.min_leaf_recurrence(w + 1, d))
             # Scaling both costs scales the bound; swapping them changes
             # nothing, because L is symmetric in the two costs.
-            assert kernels.wsc_bound(size, 3 * d, 3) == 3 * kernels.wsc_bound(size, d, 1)
-            assert kernels.wsc_bound(size, 1, d) == kernels.wsc_bound(size, d, 1)
-    assert kernels.wsc_bound(5, 0, 1) == kernels.wsc_bound(5, 1, 0) == float("inf")
+            assert wsc_bound(size, 3 * d, 3) == 3 * wsc_bound(size, d, 1)
+            assert wsc_bound(size, 1, d) == wsc_bound(size, d, 1)
+    assert wsc_bound(5, 0, 1) == wsc_bound(5, 1, 0) == float("inf")
+    # A large coprime pair tabulates only the sums of its two weights.
+    assert wsc_bound(4096, 10**6, 10**6 - 1) == 11999988
+    assert wsc_bound(4096, 7, 3) == 54
 
 
 def test_scl_handles_unanimous_instances():

@@ -123,6 +123,24 @@ def test_kernels_match_raw_list_references(seed, fail_token, wsc, scl):
                      costs, scl_costs)
 
 
+def test_prefix_bound_matches_the_reference_bounds():
+    """The one recurrence gives the binomial SC bound and the weight-table
+    WSC bound, on fresh tables asked in a random order."""
+    rng = random.Random(7)
+    sc = kernels.prefix_bound.__wrapped__(1, 1, 1)
+    queries = [(size, k) for k in range(8) for size in range(1, 600)]
+    rng.shuffle(queries)
+    for size, k in queries:
+        assert sc(size, k) == ref.sc_bound(size, k)
+    for ws, wc in [(1, 1), (2, 1), (1, 3), (7, 3), (13, 8),
+                   (10**6, 10**6 - 1), (0, 1), (2, 0)]:
+        bound = kernels.prefix_bound.__wrapped__(ws, wc, 0)
+        sizes = [*range(1, 600), 4096]
+        rng.shuffle(sizes)
+        for size in sizes:
+            assert bound(size, kernels.FREE_BUDGET) == ref.wsc_bound(size, ws, wc)
+
+
 def test_walkers_take_a_repeated_masks_first_instance():
     # Mask 0b110 appears at universe indices 0, 1 and 5, before and after
     # the first instance of 0b100 (index 3), and both split the root into

@@ -1,5 +1,6 @@
-"""Pinned search counters of the benchmark's twenty `dim` games, and of
-two SCL games whose classes repeat label partitions.
+"""Pinned search counters of the benchmark's twenty `dim` games, of two
+SCL games whose classes repeat label partitions, and of three wider
+prefix games.
 
 Each game is solved cold on a freshly built class, as one `cotverify dim`
 run does.  A change to the kernels that moves any of these figures
@@ -17,6 +18,8 @@ CLASSES = {
     "singleton5": lambda: families.singleton_bitstring_class(5),
     "singleton6": lambda: families.singleton_bitstring_class(6),
     "singleton7": lambda: families.singleton_bitstring_class(7),
+    "singleton8": lambda: families.singleton_bitstring_class(8),
+    "singleton9": lambda: families.singleton_bitstring_class(9),
     "indicator10": lambda: families.indicator_class(10),
     "complement16": lambda: families.complement_class(16, 5),
     "complement17": lambda: families.complement_class(17, 5),
@@ -52,6 +55,11 @@ GAMES = [
     # traces but 28.
     ("indicator10", "scl", 0, (3, 2, 1), 2, 9, 184),
     ("river14", "scl", 0, (3, 2, 1), 7, 243, 5266),
+    # Wider than the benchmark's games, whose classes have at most 128
+    # verifiers: the leaf-count bounds at sizes they do not reach.
+    ("singleton8", "sc", 3, None, 8, 2279, 5772),
+    ("singleton8", "wsc", 0, ("7/3", 1, 0), 8, 6177, 48960),
+    ("singleton9", "wsc", 0, (3, 1, 0), 9, 18915, 180418),
 ]
 
 
